@@ -15,24 +15,28 @@ let decode cookie =
   | 1 -> `Image (cookie lsr tag_bits)
   | _ -> invalid_arg "Pager: unknown cookie tag"
 
+(* Per-page prices by source; the address space counts the pages it
+   pulls and charges each source once per touch. Image geometry is
+   modelled, not stored, so a fetched page has no bytes to fill in: a
+   fresh frame already reads as zeroes, and only the fetch cost is
+   real. Template pages are copied by the address space. *)
+let fetch category cycles = { Vmem.Addr_space.category; cycles }
+
+let template = fetch "pager:fetch-template" (fun p -> p.Vmem.Cost.pager_fetch_template)
+
+(* [decode] without building the variant: the class is the tag. *)
+let fetch_class cookie =
+  let tag = cookie land tag_mask in
+  if tag > tag_image then invalid_arg "Pager: unknown cookie tag";
+  tag
+
 let make ~frames ~deny ~readahead () =
   if readahead < 0 then invalid_arg "Pager.make: negative readahead";
-  let fetch cost ~cookie ~frame =
-    ignore frame;
-    let p = Vmem.Cost.params cost in
-    match decode cookie with
-    | `Zero ->
-      (* a fresh frame already reads as zeroes; only the cost is real *)
-      Vmem.Cost.charge cost "pager:fetch-zero" p.Vmem.Cost.pager_fetch_zero
-    | `Image _ ->
-      (* image geometry is modelled, not stored: there are no bytes to
-         pull, but the page-sized read from the image is charged *)
-      Vmem.Cost.charge cost "pager:fetch-image" p.Vmem.Cost.pager_fetch_image
+  (* indexed by cookie tag, as [fetch_class] returns it *)
+  let fetches =
+    [|
+      fetch "pager:fetch-zero" (fun p -> p.Vmem.Cost.pager_fetch_zero);
+      fetch "pager:fetch-image" (fun p -> p.Vmem.Cost.pager_fetch_image);
+    |]
   in
-  let fetch_backing cost ~src ~dst =
-    let p = Vmem.Cost.params cost in
-    Vmem.Cost.charge cost "pager:fetch-template"
-      p.Vmem.Cost.pager_fetch_template;
-    Vmem.Frame.copy_contents frames ~src ~dst
-  in
-  { Vmem.Addr_space.fetch; fetch_backing; deny; readahead }
+  { Vmem.Addr_space.frames; fetch_class; fetches; template; deny; readahead }

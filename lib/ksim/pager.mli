@@ -1,10 +1,9 @@
 (** The simulated user-mode pager behind demand paging.
 
-    A {!Vmem.Addr_space.pager} is a pair of fetch closures the address
-    space calls on first-touch (major) faults; this module is where
-    their behaviour — the fetch-cost model per pulled page and the
-    private cookie encoding — lives, keeping vmem ignorant of what a
-    cookie means. Three page sources are modelled:
+    A {!Vmem.Addr_space.pager} describes what pulling a page costs, per
+    source; the address space does the pulling. This module owns that
+    fetch-cost model and the private cookie encoding, keeping vmem
+    ignorant of what a cookie means. Three page sources are modelled:
 
     - {e zero-fill} ([zero_cookie]): anonymous demand memory served by
       the pager (charged ["pager:fetch-zero"]);
@@ -18,9 +17,17 @@
     upcall, amortised over [readahead + 1] pages when readahead pulls
     neighbours in — the batching policy knob of E18.
 
+    The interface is run-granular: the pager classifies a cookie
+    ([fetch_class], the cookie's tag) and prices one page of each class
+    from the meter's {!Vmem.Cost.params}; the address space counts the
+    pages a touch pulls and charges every source once per touch, with
+    the page count as the event count. Only [deny], the fault-injection
+    hook, is consulted page by page, so injected failures land on the
+    same pages whether a space is batched or not.
+
     On a real OS this layer is what [userfaultfd] (Linux) or an external
-    pager port (Mach) would implement; here the pager is a trusted
-    closure and only its costs are simulated. *)
+    pager port (Mach) would implement; here only its costs are
+    simulated. *)
 
 val zero_cookie : int
 (** Cookie for pager-served demand-zero pages. *)
@@ -46,7 +53,8 @@ val make :
   unit ->
   Vmem.Addr_space.pager
 (** Build the pager for one machine: [frames] is its physical memory
-    (template fetches copy pinned frames out of it), [deny] the
-    fault-injection hook consulted per pulled page (wire to
-    {!Fault.on_pager_fetch}), [readahead] the batch knob.
+    (only spaces on that machine accept the pager; template fetches copy
+    pinned frames within it), [deny] the fault-injection hook consulted
+    per pulled page (wire to {!Fault.on_pager_fetch}), [readahead] the
+    batch knob.
     @raise Invalid_argument on negative [readahead]. *)

@@ -307,6 +307,13 @@ module Load = struct
         s.dead <- true;
         errors := !errors + List.length ids
     in
+    let send_to s id =
+      Queue.add (id, Unix.gettimeofday ()) s.inflight;
+      (* on EPIPE the request stays queued: the read side will see EOF
+         on this worker and [crash] will re-queue it *)
+      try write_line s.cur.to_worker (request id)
+      with Unix.Unix_error (Unix.EPIPE, _, _) | Sys_error _ -> ()
+    in
     let send_one id =
       let rec pick k =
         if k = 0 then None
@@ -316,14 +323,47 @@ module Load = struct
           if s.dead then pick (k - 1) else Some s
         end
       in
-      match pick nw with
-      | None -> incr errors
+      match pick nw with None -> incr errors | Some s -> send_to s id
+    in
+    (* The crash probe must kill a worker that still owes replies: a
+       worker that has answered everything it was sent dies unnoticed,
+       since only slots with requests in flight are waited on. So one
+       fresh request is held back until the kill; the victim is stopped
+       (and seen stopped) before it is sent that request, which it
+       therefore provably never answers. The run cannot finish before
+       that request is re-sent, i.e. before the victim's EOF has been
+       read, the victim reaped and its slot respawned. *)
+    let kill_pending () =
+      match kill_after with
+      | Some k -> (not !killed) && k < requests
+      | None -> false
+    in
+    let kill_loaded_worker () =
+      killed := true;
+      let rec live i =
+        if i >= nw then None
+        else if slots.(i).dead then live (i + 1)
+        else Some slots.(i)
+      in
+      match live 0 with
+      | None -> ()
       | Some s -> (
-        Queue.add (id, Unix.gettimeofday ()) s.inflight;
-        (* on EPIPE the request stays queued: the read side will see EOF
-           on this worker and [crash] will re-queue it *)
-        try write_line s.cur.to_worker (request id)
-        with Unix.Unix_error (Unix.EPIPE, _, _) | Sys_error _ -> ())
+        let pid = Process.pid s.cur.proc in
+        let rec until_stopped () =
+          match Unix.waitpid [ Unix.WUNTRACED ] pid with
+          | _, st -> st
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> until_stopped ()
+        in
+        match
+          Unix.kill pid Sys.sigstop;
+          until_stopped ()
+        with
+        | Unix.WSTOPPED _ ->
+          let id = !sent in
+          incr sent;
+          send_to s id;
+          Unix.kill pid Sys.sigkill
+        | Unix.WEXITED _ | Unix.WSIGNALED _ | (exception Unix.Unix_error _) -> ())
     in
     let complete s =
       match Queue.take_opt s.inflight with
@@ -364,7 +404,8 @@ module Load = struct
       (* keep the window full: re-queued work first, then fresh ids *)
       while
         outstanding () < concurrency
-        && ((not (Queue.is_empty resend)) || !sent < requests)
+        && ((not (Queue.is_empty resend))
+           || !sent < requests - if kill_pending () then 1 else 0)
         && Array.exists (fun s -> not s.dead) slots
       do
         (match Queue.take_opt resend with
@@ -377,12 +418,7 @@ module Load = struct
         if o > !max_out then max_out := o
       done;
       (match kill_after with
-      | Some k when (not !killed) && !completed >= k ->
-        killed := true;
-        let s = slots.(0) in
-        if not s.dead then
-          (try Unix.kill (Process.pid s.cur.proc) Sys.sigkill
-           with Unix.Unix_error _ -> ())
+      | Some k when kill_pending () && !completed >= k -> kill_loaded_worker ()
       | _ -> ());
       let waiting =
         Array.to_list slots

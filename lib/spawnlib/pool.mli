@@ -128,8 +128,13 @@ module Load : sig
       (default 256) outstanding; [request i] is the line sent for
       request [i]. Workers that die mid-run are respawned and their
       in-flight requests re-sent (the protocol must tolerate duplicate
-      delivery). [kill_after n] SIGKILLs worker slot 0 once [n] replies
-      have arrived — a seeded crash-at-load probe.
+      delivery). [kill_after n] is a crash-at-load probe: once [n]
+      replies have arrived it stops the first live worker slot (slot 0
+      unless that one is dead), sends it one more request and SIGKILLs
+      it, so the worker provably dies owing a reply; [run] returns only
+      after that worker has been reaped and its slot respawned, with its
+      unanswered requests re-sent. One fresh request is held back until
+      the kill for this, when [n < requests].
 
       @raise Invalid_argument if the pool is shut down.
       @raise Failure if no worker produces a reply for 30 seconds. *)

@@ -1,17 +1,23 @@
 type fault_error = [ `Segfault | `Perm_denied | `Out_of_memory ]
 
-(* A simulated user-mode pager: supplies the frame contents (and the
-   modelled fetch cost) for pager-backed pages on their first touch.
-   [fetch] resolves a lazy PTE's cookie; [fetch_backing] copies a page
-   out of a template backing table; both take the cost meter as an
-   argument because the SMP kernel swaps scratch meters in during its
-   record-and-replay phase and the closures are built once per space.
-   [deny] is the fault-injection hook, consulted once per pulled page
-   (readahead included); [readahead] is how many immediately-following
+(* A simulated user-mode pager: supplies the frames (and the modelled
+   fetch cost) for pager-backed pages on their first touch. The pager
+   only says what one page of each source costs: [fetch_class] maps a
+   lazy PTE's cookie to one of [fetches], and [template] prices a page
+   copied out of a zygote's backing table. This space counts the pages
+   it pulls and charges each source once per touch, on whatever meter
+   it holds at the time (the SMP kernel swaps scratch meters in during
+   its record-and-replay phase). [deny] is the fault-injection hook,
+   consulted once per pulled page (readahead included) before the frame
+   allocation; [readahead] is how many immediately-following
    pager-backed pages one request also pulls in. *)
+type fetch = { category : string; cycles : Cost.params -> float }
+
 type pager = {
-  fetch : Cost.t -> cookie:int -> frame:Frame.frame -> unit;
-  fetch_backing : Cost.t -> src:Frame.frame -> dst:Frame.frame -> unit;
+  frames : Frame.t;
+  fetch_class : int -> int;
+  fetches : fetch array;
+  template : fetch;
   deny : unit -> bool;
   readahead : int;
 }
@@ -91,7 +97,12 @@ let create ?(mmap_base = default_mmap_base) ?(batched = true) ?blame ~frames
     backing_holes = [];
   }
 
-let set_pager t pg = t.pager <- pg
+let set_pager t pg =
+  (match pg with
+  | Some (p : pager) when p.frames != t.frames ->
+    invalid_arg "Addr_space.set_pager: pager serves another machine's frames"
+  | Some _ | None -> ());
+  t.pager <- pg
 let pager_installed t = t.pager <> None
 let has_backing t = t.backing <> None
 let lazy_pages t = Page_table.lazy_count t.pt
@@ -397,6 +408,10 @@ let break_cow t ~vpn ~pte ~region_perm =
       Ok ()
   end
 
+let rec in_hole vpn = function
+  | [] -> false
+  | (lo, hi) :: rest -> (vpn >= lo && vpn <= hi) || in_hole vpn rest
+
 (* Where the pager would source the (non-present) page at [vpn], if
    anywhere: a lazy PTE carries its fetch cookie; a wholly-absent page
    over the backing table (outside any munmap hole) is template-backed;
@@ -407,26 +422,39 @@ let pager_src t ~vpn ~pte =
     match t.backing with
     | None -> None
     | Some bpt ->
-      if List.exists (fun (lo, hi) -> vpn >= lo && vpn <= hi) t.backing_holes
-      then None
+      if in_hole vpn t.backing_holes then None
       else
         let b = Page_table.lookup bpt ~vpn in
         if Pte.present b then Some (`Backing (Pte.frame b)) else None
 
-(* Pull one page through the pager: allocate a frame, let the pager
-   charge its fetch and fill the contents, install the entry present at
-   the region permission. Failure (denied fetch or no frame) leaves the
-   entry exactly as it was — a lazy PTE stays lazy, a backing hit stays
-   absent — so a failed first touch rolls back cleanly. *)
+let bad_class = "Addr_space: pager fetch class out of range"
+
+let cookie_class pg cookie =
+  let k = pg.fetch_class cookie in
+  if k < 0 || k >= Array.length pg.fetches then invalid_arg bad_class;
+  k
+
+(* Pull one page through the pager: allocate a frame, charge the
+   source's fetch cost (a template page is also copied out of its
+   backing frame), install the entry present at the region permission.
+   Failure (denied fetch or no frame) leaves the entry exactly as it
+   was — a lazy PTE stays lazy, a backing hit stays absent — so a failed
+   first touch rolls back cleanly. *)
 let pager_fill t pg ~vpn ~perm ~src ~prefetched =
+  let f =
+    match src with
+    | `Cookie c -> pg.fetches.(cookie_class pg c)
+    | `Backing _ -> pg.template
+  in
   if pg.deny () then Error `Out_of_memory
   else
     match Frame.alloc t.frames with
     | Error `Out_of_memory -> Error `Out_of_memory
     | Ok frame ->
       (match src with
-      | `Cookie c -> pg.fetch t.cost ~cookie:c ~frame
-      | `Backing src -> pg.fetch_backing t.cost ~src ~dst:frame);
+      | `Backing src -> Frame.copy_contents t.frames ~src ~dst:frame
+      | `Cookie _ -> ());
+      Cost.charge t.cost f.category (f.cycles (params t));
       let pte = Pte.make ~frame ~perm () in
       Page_table.map t.pt ~vpn
         (if prefetched then Pte.mark_prefetched pte else pte);
@@ -528,149 +556,346 @@ let touch t addr = fault t ~addr ~write:true
 
 exception Fault_stop of fault_error
 
-(* Batched write-fault of [vpn0, vpn1], all inside one VMA whose
-   permission allows writes: the same per-page state transitions as
-   [fault ~write:true], but each leaf is located once and the cost
-   meter is charged once per category for the whole range (all cost
-   parameters are integer-valued floats, so one charge of n*c equals n
-   charges of c exactly, and event counts are summed either way). *)
-let touch_covered_batched t ~rperm ~vpn0 ~vpn1 ~count =
-  let p = params t in
-  let n_base = ref 0 and n_zero = ref 0 and n_reuse = ref 0 in
-  let n_copy = ref 0 and n_invlpg = ref 0 in
-  (* COW-break work is tallied apart from ordinary fills so its charges
-     can carry the deferred-blame context; splitting one charge of
-     (a+b)*c into a*c and b*c is exact (integer-valued params), so the
-     meter's totals and event counts are unchanged. *)
-  let n_base_cow = ref 0 and n_invlpg_cow = ref 0 in
-  let flush_charges () =
-    if !n_base > 0 then
-      Cost.charge ~n:!n_base t.cost "fault:base"
-        (p.Cost.fault_base *. float_of_int !n_base);
-    if !n_zero > 0 then
-      Cost.charge ~n:!n_zero t.cost "fault:zero-fill"
-        (p.Cost.frame_zero *. float_of_int !n_zero);
-    invalidate t ~n:!n_invlpg;
-    if !n_base_cow > 0 || !n_reuse > 0 || !n_copy > 0 || !n_invlpg_cow > 0
-    then
-      deferred_blame t (fun () ->
-          if !n_base_cow > 0 then
-            Cost.charge ~n:!n_base_cow t.cost "fault:base"
-              (p.Cost.fault_base *. float_of_int !n_base_cow);
-          if !n_reuse > 0 then
-            Cost.charge ~n:!n_reuse t.cost "fault:cow-reuse" 0.0;
-          if !n_copy > 0 then
-            Cost.charge ~n:!n_copy t.cost "fault:cow-copy"
-              (p.Cost.frame_copy *. float_of_int !n_copy);
-          invalidate t ~n:!n_invlpg_cow)
-  in
-  let oom () =
-    flush_charges ();
-    raise (Fault_stop `Out_of_memory)
-  in
-  (* demand-fill a run of [n] absent pages starting at [entries.(i0)];
-     the failing page of a short allocation still pays fault_base, like
-     the per-page walk, and a wholly-failed run creates no leaf *)
-  let fill ~n ~get_entries ~i0 =
-    let frames = Frame.alloc_upto t.frames n in
-    let m = Array.length frames in
-    n_base := !n_base + m;
-    n_zero := !n_zero + m;
-    if m > 0 then begin
-      let entries = get_entries () in
-      Pte.blit_run ~frames ~n:m ~perm:rperm entries ~at:i0;
-      Page_table.note_mapped t.pt m;
-      count := !count + m
-    end;
-    if m < n then begin
-      incr n_base;
-      oom ()
-    end
-  in
-  Page_table.fold_leaves t.pt ~vpn0 ~vpn1 ~init:()
-    ~missing:(fun () ~vpn ~span ~materialize ->
-      fill ~n:span ~get_entries:materialize
-        ~i0:(vpn land (Addr.entries_per_table - 1)))
-    ~leaf:(fun () ~base:_ ~entries:_ ~lo ~hi ~writable ->
-      let entries = writable () in
-      let i = ref lo in
-      while !i <= hi do
-        let pte = entries.(!i) in
-        if not (Pte.present pte) then begin
-          let j = ref (!i + 1) in
-          while !j <= hi && not (Pte.present entries.(!j)) do
-            incr j
-          done;
-          fill ~n:(!j - !i) ~get_entries:(fun () -> entries) ~i0:!i;
-          i := !j
-        end
-        else begin
-          (if (Pte.perm pte).Perm.write then
-             (* plain write hit: reference bits only, no charge *)
-             entries.(!i) <- Pte.mark_dirty (Pte.mark_accessed pte)
-           else if Pte.cow pte then begin
-             let frame = Pte.frame pte in
-             incr n_base_cow;
-             if Frame.refcount t.frames frame = 1 then begin
-               (* last sharer: take the page back in place *)
-               incr n_reuse;
-               entries.(!i) <- Pte.with_cow (Pte.with_perm pte rperm) false;
-               incr n_invlpg_cow
-             end
-             else begin
-               match Frame.alloc t.frames with
-               | Error `Out_of_memory -> oom ()
-               | Ok fresh ->
-                 incr n_copy;
-                 Frame.copy_contents t.frames ~src:frame ~dst:fresh;
-                 ignore (Frame.decref t.frames frame);
-                 entries.(!i) <- Pte.make ~frame:fresh ~perm:rperm ();
-                 incr n_invlpg_cow
-             end
-           end
-           else begin
-             (* stale protection: refresh in place *)
-             incr n_base;
-             entries.(!i) <- Pte.with_perm pte rperm;
-             incr n_invlpg
-           end);
-          incr count;
-          incr i
-        end
-      done);
-  flush_charges ()
+(* Read stand-in for a leaf that does not exist (yet): every slot
+   absent. Never written — the batched pass materialises the real leaf
+   before its first store. *)
+let absent_leaf = Array.make Addr.entries_per_table Pte.absent
 
+let leaf_or_absent pt ~vpn =
+  let e = Page_table.find_leaf pt ~vpn in
+  if Array.length e = 0 then absent_leaf else e
+
+(* State of one batched write-touch. Charges are tallied here and made
+   once per category when the touch ends ([Cost.charge ~n]): every cost
+   parameter is an integer-valued float, so one charge of n*c equals n
+   charges of c exactly and the meter's totals and event counts match
+   the per-page walk's. COW breaks and major faults are tallied apart
+   from the rest so their charges carry the deferred-blame context the
+   per-page walk wraps them in. *)
+type pass = {
+  mutable touched : int;  (** pages of the range touched so far *)
+  mutable base : int;  (** fault:base of zero-fills and protection refreshes *)
+  mutable zero : int;
+  mutable invlpg : int;
+  mutable hits : int;  (** pager:readahead-hit *)
+  mutable base_deferred : int;  (** fault:base of COW breaks and major faults *)
+  mutable reuse : int;
+  mutable copy : int;
+  mutable invlpg_deferred : int;
+  mutable requests : int;
+  fetched : int array;
+      (** pages pulled per pager fetch class; the last slot counts
+          template (backing-table) pages *)
+  mutable ra_stop : int;
+      (** last vpn of the open readahead window, or -1 when none is *)
+  mutable leaf_base : int;  (** vpn of [ents.(0)] *)
+  mutable ents : Pte.t array;  (** the current leaf, or [absent_leaf] *)
+  mutable ents_rw : bool;  (** [ents] is this table's own writable leaf *)
+  mutable bents : Pte.t array;
+      (** the backing table's leaf at [leaf_base], or [absent_leaf] *)
+}
+
+let new_pass t =
+  {
+    touched = 0;
+    base = 0;
+    zero = 0;
+    invlpg = 0;
+    hits = 0;
+    base_deferred = 0;
+    reuse = 0;
+    copy = 0;
+    invlpg_deferred = 0;
+    requests = 0;
+    fetched =
+      (match t.pager with
+      | Some pg -> Array.make (Array.length pg.fetches + 1) 0
+      | None -> [||]);
+    ra_stop = -1;
+    leaf_base = 0;
+    ents = absent_leaf;
+    ents_rw = false;
+    bents = absent_leaf;
+  }
+
+let charge_n cost category ~n cycles =
+  if n > 0 then Cost.charge ~n cost category (cycles *. float_of_int n)
+
+let flush_pass t s =
+  let p = params t in
+  charge_n t.cost "fault:base" ~n:s.base p.Cost.fault_base;
+  charge_n t.cost "fault:zero-fill" ~n:s.zero p.Cost.frame_zero;
+  invalidate t ~n:s.invlpg;
+  charge_n t.cost "pager:readahead-hit" ~n:s.hits 0.0;
+  (* every COW break and every major fault paid a deferred fault:base *)
+  if s.base_deferred > 0 then
+    deferred_blame t (fun () ->
+        charge_n t.cost "fault:base" ~n:s.base_deferred p.Cost.fault_base;
+        charge_n t.cost "pager:request" ~n:s.requests p.Cost.pager_request;
+        (match t.pager with
+        | None -> ()
+        | Some pg ->
+          Array.iteri
+            (fun k n ->
+              let f =
+                if k < Array.length pg.fetches then pg.fetches.(k)
+                else pg.template
+              in
+              charge_n t.cost f.category ~n (f.cycles p))
+            s.fetched);
+        charge_n t.cost "fault:cow-reuse" ~n:s.reuse 0.0;
+        charge_n t.cost "fault:cow-copy" ~n:s.copy p.Cost.frame_copy;
+        invalidate t ~n:s.invlpg_deferred)
+
+let enter_leaf t s ~base =
+  s.leaf_base <- base;
+  s.ents <- leaf_or_absent t.pt ~vpn:base;
+  s.ents_rw <- false;
+  s.bents <-
+    (match t.backing with None -> absent_leaf | Some b -> leaf_or_absent b ~vpn:base)
+
+let writable_ents t s =
+  if not s.ents_rw then begin
+    s.ents <- Page_table.writable_leaf t.pt ~vpn:s.leaf_base;
+    s.ents_rw <- true
+  end;
+  s.ents
+
+let store t s idx pte = (writable_ents t s).(idx) <- pte
+
+(* A misconfigured pager found mid-pass: make the charges the per-page
+   walk would already have made, then fail as it does. *)
+let fail_pass t s msg =
+  flush_pass t s;
+  invalid_arg msg
+
+let pager_of t s =
+  match t.pager with
+  | Some pg -> pg
+  | None -> fail_pass t s "Addr_space.touch_range: pager-backed page but no pager"
+
+(* The pager source of the non-present slot [idx] of the current leaf
+   (see [pager_src]): a fetch class, [Array.length fetches] for a
+   backing-table page, or -1 for a demand-zero page. *)
+let slot_source t s idx pte =
+  if Pte.lazy_ pte then begin
+    let pg = pager_of t s in
+    let k = pg.fetch_class (Pte.cookie pte) in
+    if k < 0 || k >= Array.length pg.fetches then fail_pass t s bad_class;
+    k
+  end
+  else if
+    Pte.present s.bents.(idx)
+    && not (in_hole (s.leaf_base + idx) t.backing_holes)
+  then Array.length (pager_of t s).fetches
+  else -1
+
+(* Pull the page at slot [idx] from source [src]: [deny] first, then a
+   frame — the per-page walk's order of injection draws. Returns the
+   frame, or [Frame.no_frame] when the pull failed. *)
+let pull t s pg ~src ~idx =
+  if pg.deny () then Frame.no_frame
+  else begin
+    let f = Frame.take t.frames in
+    if f <> Frame.no_frame then begin
+      if src = Array.length pg.fetches then
+        Frame.copy_contents t.frames ~src:(Pte.frame s.bents.(idx)) ~dst:f;
+      s.fetched.(src) <- s.fetched.(src) + 1
+    end;
+    f
+  end
+
+let install t s idx ~was pte =
+  store t s idx pte;
+  if Pte.lazy_ was then Page_table.note_lazy t.pt (-1);
+  Page_table.note_mapped t.pt 1
+
+(* Demand-fill the [n] absent pages from slot [idx] with one batched
+   allocation; the failing page of a short allocation still pays
+   fault_base, like the per-page walk. *)
+let fill_zero t s ~rperm ~idx ~n =
+  let frames = Frame.alloc_upto t.frames n in
+  let m = Array.length frames in
+  s.base <- s.base + m;
+  s.zero <- s.zero + m;
+  if m > 0 then begin
+    Pte.blit_run ~frames ~n:m ~perm:rperm (writable_ents t s) ~at:idx;
+    Page_table.note_mapped t.pt m;
+    s.touched <- s.touched + m
+  end;
+  if m < n then begin
+    s.base <- s.base + 1;
+    raise (Fault_stop `Out_of_memory)
+  end
+
+(* The first slot from [j] on that is not demand-zero, or [hi + 1]. *)
+let rec zero_run_end t s ~hi j =
+  if j > hi then j
+  else if s.ents == absent_leaf && s.bents == absent_leaf then hi + 1
+  else
+    let pte = s.ents.(j) in
+    if Pte.present pte || slot_source t s j pte >= 0 then j
+    else zero_run_end t s ~hi (j + 1)
+
+(* A write to the present page at slot [idx]: [fault ~write:true]'s
+   transitions for a present entry. *)
+let touch_present t s ~rperm idx pte =
+  if Pte.writable pte then begin
+    (* plain write hit: reference bits only, no charge — except that the
+       first access to a page readahead pulled in is a readahead hit *)
+    if Pte.prefetched pte then s.hits <- s.hits + 1;
+    let hit = Pte.mark_dirty (Pte.mark_accessed (Pte.clear_prefetched pte)) in
+    if hit <> pte then store t s idx hit
+  end
+  else if Pte.cow pte then begin
+    let frame = Pte.frame pte in
+    s.base_deferred <- s.base_deferred + 1;
+    if Frame.refcount t.frames frame = 1 then begin
+      (* last sharer: take the page back in place *)
+      s.reuse <- s.reuse + 1;
+      store t s idx (Pte.with_cow (Pte.with_perm pte rperm) false)
+    end
+    else begin
+      let fresh = Frame.take t.frames in
+      if fresh = Frame.no_frame then raise (Fault_stop `Out_of_memory);
+      s.copy <- s.copy + 1;
+      Frame.copy_contents t.frames ~src:frame ~dst:fresh;
+      ignore (Frame.decref t.frames frame);
+      store t s idx (Pte.make ~frame:fresh ~perm:rperm ())
+    end;
+    s.invlpg_deferred <- s.invlpg_deferred + 1
+  end
+  else begin
+    (* stale protection: refresh in place *)
+    s.base <- s.base + 1;
+    store t s idx (Pte.with_perm pte rperm);
+    s.invlpg <- s.invlpg + 1
+  end;
+  s.touched <- s.touched + 1
+
+(* Touch slot [idx] outside any readahead window; returns the next slot
+   to visit. A pager-backed page takes a major fault: one request, and
+   a readahead window over the next [readahead] pages of the region. *)
+let touch_slot t s ~rperm ~region_last ~hi idx pte src =
+  if Pte.present pte then begin
+    touch_present t s ~rperm idx pte;
+    idx + 1
+  end
+  else if src >= 0 then begin
+    let pg = pager_of t s in
+    s.base_deferred <- s.base_deferred + 1;
+    s.requests <- s.requests + 1;
+    let f = pull t s pg ~src ~idx in
+    if f = Frame.no_frame then raise (Fault_stop `Out_of_memory);
+    install t s idx ~was:pte (Pte.make ~frame:f ~perm:rperm ());
+    s.touched <- s.touched + 1;
+    s.ra_stop <- min region_last (s.leaf_base + idx + pg.readahead);
+    idx + 1
+  end
+  else begin
+    let j = zero_run_end t s ~hi (idx + 1) in
+    fill_zero t s ~rperm ~idx ~n:(j - idx);
+    j
+  end
+
+(* Inside an open readahead window, pull the pager-backed page at slot
+   [idx]. A page of the touched range is touched at once: it ends
+   exactly as the per-page walk leaves it after its later first access
+   (referenced, no mark, one readahead hit). Past the range it keeps
+   the prefetched mark. False when the pull failed. *)
+let readahead_pull t s ~rperm ~touch idx pte src =
+  let pg = pager_of t s in
+  let f = pull t s pg ~src ~idx in
+  f <> Frame.no_frame
+  && begin
+       let pte' = Pte.make ~frame:f ~perm:rperm () in
+       if touch then begin
+         install t s idx ~was:pte (Pte.mark_dirty (Pte.mark_accessed pte'));
+         s.hits <- s.hits + 1;
+         s.touched <- s.touched + 1
+       end
+       else install t s idx ~was:pte (Pte.mark_prefetched pte');
+       true
+     end
+
+(* Slots [idx..hi] of the current leaf. With [~touch:true] they are
+   pages of the touched range; with [~touch:false] the pass only runs
+   an open readahead window on past the range's end. Readahead stops at
+   the first page it does not pull — present, not pager-backed, denied
+   or out of memory — and a failed pull is retried as a fault. *)
+let rec pass_slots t s ~rperm ~region_last ~touch ~hi idx =
+  if idx <= hi && (touch || s.leaf_base + idx <= s.ra_stop) then begin
+    let pte = s.ents.(idx) in
+    let src = if Pte.present pte then -1 else slot_source t s idx pte in
+    if
+      src >= 0
+      && s.leaf_base + idx <= s.ra_stop
+      && readahead_pull t s ~rperm ~touch idx pte src
+    then pass_slots t s ~rperm ~region_last ~touch ~hi (idx + 1)
+    else begin
+      s.ra_stop <- -1;
+      if touch then
+        pass_slots t s ~rperm ~region_last ~touch ~hi
+          (touch_slot t s ~rperm ~region_last ~hi idx pte src)
+    end
+  end
+
+let pass_range t s ~rperm ~region_last ~vpn0 ~vpn1 ~touch =
+  let v = ref vpn0 in
+  while !v <= vpn1 && (touch || !v <= s.ra_stop) do
+    let base = !v land lnot (Addr.entries_per_table - 1) in
+    let hi = min (vpn1 - base) (Addr.entries_per_table - 1) in
+    enter_leaf t s ~base;
+    pass_slots t s ~rperm ~region_last ~touch ~hi (!v - base);
+    v := base + hi + 1
+  done
+
+let write_access = { Perm.none with Perm.write = true }
+
+(* Batched write-fault of a range: the same per-page state transitions,
+   charges and fault-injection draws as the per-page walk of [touch],
+   in the same order, but each leaf is located once and each cost
+   category charged once per touch. *)
 let touch_range_batched t ~addr ~len =
   let vpn1 = Addr.page_number (addr + len - 1) in
-  let count = ref 0 in
-  try
-    let vpn = ref (Addr.page_number addr) in
+  let s = new_pass t in
+  let vpn = ref (Addr.page_number addr) in
+  match
     while !vpn <= vpn1 do
       let a = Addr.addr_of_page !vpn in
       if not (Addr.valid a) then raise (Fault_stop `Segfault);
       match Region_map.find_containing a t.regions with
       | None -> raise (Fault_stop `Segfault)
       | Some (_, e, vma) ->
-        if not (Perm.allows vma.Vma.perm { Perm.none with Perm.write = true })
-        then raise (Fault_stop `Perm_denied);
-        let sub_end = min vpn1 (Addr.page_number (e - 1)) in
-        touch_covered_batched t ~rperm:vma.Vma.perm ~vpn0:!vpn ~vpn1:sub_end
-          ~count;
+        let rperm = vma.Vma.perm in
+        if not (Perm.allows rperm write_access) then
+          raise (Fault_stop `Perm_denied);
+        let region_last = Addr.page_number (e - 1) in
+        let sub_end = min vpn1 region_last in
+        pass_range t s ~rperm ~region_last ~vpn0:!vpn ~vpn1:sub_end ~touch:true;
+        (* the window of the range's last major fault runs on past it *)
+        if s.ra_stop > sub_end then
+          pass_range t s ~rperm ~region_last ~vpn0:(sub_end + 1)
+            ~vpn1:s.ra_stop ~touch:false;
+        s.ra_stop <- -1;
         vpn := sub_end + 1
-    done;
-    Ok !count
-  with Fault_stop err -> Error err
+    done
+  with
+  | () ->
+    flush_pass t s;
+    Ok s.touched
+  | exception Fault_stop err ->
+    flush_pass t s;
+    Error err
 
+(* Write-touch a range. Batched spaces take the leaf-granular pass above
+   for every kind of page — demand-zero, COW, lazy PTEs, backing-table
+   hits and readahead-marked pages alike; [~batched:false] keeps the
+   per-page walk through [fault] as the oracle it is tested against. *)
 let touch_range t ~addr ~len =
   if len <= 0 then Ok 0
-  else if t.batched && not (pager_active t) then begin
-    (* the per-page walk hits [fault]'s liveness check on page one.
-       With demand paging live the per-page reference walk is used even
-       in batched mode: readahead grouping makes the charge sequence
-       state-dependent, and the per-page walk IS that sequence — the
-       batched leaf pass would have to replay it page by page anyway
-       (total charges and event counts are identical either way, since
-       every cost parameter is an integer-valued float). *)
+  else if t.batched then begin
+    (* the per-page walk hits [fault]'s liveness check on page one *)
     alive t "Addr_space.fault";
     touch_range_batched t ~addr ~len
   end

@@ -66,25 +66,40 @@ type meters = { m_cost : Cost.t; m_tlb : Tlb.t; m_blame : Blame.t option }
 val meters : t -> meters
 val set_meters : t -> meters -> unit
 
+type fetch = {
+  category : string;  (** the cost category one pulled page is charged to *)
+  cycles : Cost.params -> float;
+      (** what one page costs under the meter's parameters; must be
+          integer-valued, so that a charge for [n] pages at once is
+          exact *)
+}
+(** The price of one page from one pager source. *)
+
 type pager = {
-  fetch : Cost.t -> cookie:int -> frame:Frame.frame -> unit;
-      (** resolve a lazy PTE: charge the fetch and fill [frame] from
-          whatever source the cookie names (the cookie encoding is the
-          installer's — typically [Ksim.Pager]'s — private convention) *)
-  fetch_backing : Cost.t -> src:Frame.frame -> dst:Frame.frame -> unit;
-      (** pull one template page for a lazy-zygote child: charge the
-          fetch and copy [src] (a pinned template frame) into [dst] *)
+  frames : Frame.t;
+      (** the physical memory the pager serves; {!set_pager} refuses a
+          pager built for another machine *)
+  fetch_class : int -> int;
+      (** which of [fetches] serves a lazy PTE's cookie (the cookie
+          encoding is the installer's — typically [Ksim.Pager]'s —
+          private convention); must be in [[0, Array.length fetches)] *)
+  fetches : fetch array;  (** price of a page per cookie class *)
+  template : fetch;
+      (** price of a page copied out of a lazy-zygote backing table *)
   deny : unit -> bool;
       (** fault-injection hook, consulted once per pulled page
-          (readahead included); [true] fails that fetch like OOM *)
+          (readahead included), before its frame allocation; [true]
+          fails that fetch like OOM *)
   readahead : int;
       (** extra consecutive pager-backed pages pulled per request *)
 }
 (** A simulated user-mode pager (see the module comment of
-    {!Ksim.Pager}). The cost meter is passed to each closure at call
-    time because the SMP kernel swaps scratch meters in during its
-    record-and-replay phase while the closures live as long as the
-    space. *)
+    {!Ksim.Pager}), described by what its pages cost rather than by
+    per-page callbacks: the space pulls the pages itself — frames, the
+    copy of a template page, the entries — counts them per source and
+    charges each source once per touch, on whatever meter the space
+    holds at that moment (the SMP kernel swaps scratch meters in during
+    its record-and-replay phase). *)
 
 val set_pager : t -> pager option -> unit
 (** Install (or remove) the pager consulted on first-touch faults of
@@ -182,7 +197,12 @@ val touch : t -> int -> (unit, fault_error) result
 
 val touch_range : t -> addr:int -> len:int -> (int, fault_error) result
 (** Write-touch every page of the range; returns the number of pages
-    touched. Stops at the first fault error. *)
+    touched. Stops at the first fault error. The result, every entry,
+    the cost breakdown with event counts, the blame attribution and the
+    order of fault-injection draws are those of {!touch} on each page in
+    turn; a batched space gets them from one leaf-granular pass that
+    charges each cost category once per touch, demand paging included
+    (lazy PTEs, backing-table pages, readahead and readahead hits). *)
 
 val read_byte : t -> int -> (int, fault_error) result
 val write_byte : t -> int -> int -> (unit, fault_error) result

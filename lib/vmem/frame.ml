@@ -17,15 +17,27 @@ let immortal = 254
    ..., lo — exactly the reverse-push order a flat stack would give.
    Pushes that don't extend the top run just open a new one, so
    arbitrary free patterns degrade to one run per frame, never worse
-   than the flat representation. *)
+   than the flat representation.
+
+   The runs live in fixed chunks of [chunk_words] words, (lo, hi) pairs
+   side by side: the top chunk is [chunk], the full ones under it are
+   [below]. A chunk is small enough for the minor heap, so a growing
+   stack never allocates straight into the major heap the way doubling
+   a flat array does (millions of words of garbage in a large demand
+   paging run). Invariant: [fill = 0] only when [below] is empty too. *)
+let chunk_words = 256
+
 type t = {
   nframes : int;
   refcounts : Bytes.t;
   spill : (int, int) Hashtbl.t;  (** true refcounts >= 255 *)
   mutable next_fresh : int;  (** frames >= this have never been handed out *)
-  mutable run_lo : int array;  (** free-stack run starts *)
-  mutable run_hi : int array;  (** free-stack run ends (inclusive) *)
-  mutable run_top : int;  (** number of live runs *)
+  mutable chunk : int array;  (** top free-run chunk: lo at even, hi at odd slots *)
+  mutable fill : int;  (** words in use in [chunk] *)
+  mutable below : int array list;  (** full chunks under [chunk], topmost first *)
+  mutable spare : int array;
+      (** an emptied chunk kept for the next overflow ([[||]] if none), so
+          a stack hovering at a chunk boundary does not reallocate *)
   mutable used : int;
   mutable pinned : int;  (** frames in the immortal class *)
   mutable committed : int;
@@ -53,9 +65,10 @@ let create ?(policy = Strict) ~frames () =
     refcounts = Bytes.make frames '\000';
     spill = Hashtbl.create 16;
     next_fresh = 0;
-    run_lo = [||];
-    run_hi = [||];
-    run_top = 0;
+    chunk = Array.make chunk_words 0;
+    fill = 0;
+    below = [];
+    spare = [||];
     used = 0;
     pinned = 0;
     committed = 0;
@@ -91,47 +104,68 @@ let check_frame t f name =
     invalid_arg (name ^ ": unallocated frame")
 
 let push_free t f =
-  if t.run_top > 0 && t.run_hi.(t.run_top - 1) + 1 = f then
-    t.run_hi.(t.run_top - 1) <- f
+  let n = t.fill in
+  if n > 0 && t.chunk.(n - 1) + 1 = f then t.chunk.(n - 1) <- f
   else begin
-    if t.run_top = Array.length t.run_lo then begin
-      let cap = max 256 (2 * Array.length t.run_lo) in
-      let lo = Array.make cap 0 and hi = Array.make cap 0 in
-      Array.blit t.run_lo 0 lo 0 t.run_top;
-      Array.blit t.run_hi 0 hi 0 t.run_top;
-      t.run_lo <- lo;
-      t.run_hi <- hi
+    if n = chunk_words then begin
+      t.below <- t.chunk :: t.below;
+      (if Array.length t.spare > 0 then begin
+         t.chunk <- t.spare;
+         t.spare <- [||]
+       end
+       else t.chunk <- Array.make chunk_words 0);
+      t.fill <- 0
     end;
-    t.run_lo.(t.run_top) <- f;
-    t.run_hi.(t.run_top) <- f;
-    t.run_top <- t.run_top + 1
+    let n = t.fill in
+    t.chunk.(n) <- f;
+    t.chunk.(n + 1) <- f;
+    t.fill <- n + 2
   end
 
-let alloc t =
-  if denied t.deny_alloc then Error `Out_of_memory
+(* Remove the top run (the caller has taken all of its frames). *)
+let drop_run t =
+  let n = t.fill - 2 in
+  if n > 0 then t.fill <- n
+  else
+    match t.below with
+    | c :: rest ->
+      t.spare <- t.chunk;
+      t.chunk <- c;
+      t.below <- rest;
+      t.fill <- chunk_words
+    | [] -> t.fill <- 0
+
+let no_frame = -1
+
+let take t =
+  if denied t.deny_alloc then no_frame
   else begin
     lock t;
-    let r =
-      if t.run_top > 0 then begin
-        let r = t.run_top - 1 in
-        let f = t.run_hi.(r) in
-        if f = t.run_lo.(r) then t.run_top <- r else t.run_hi.(r) <- f - 1;
+    let f =
+      if t.fill > 0 then begin
+        let n = t.fill in
+        let f = t.chunk.(n - 1) in
+        if f = t.chunk.(n - 2) then drop_run t else t.chunk.(n - 1) <- f - 1;
         rc_set t f 1;
         t.used <- t.used + 1;
-        Ok f
+        f
       end
-      else if t.next_fresh >= t.nframes then Error `Out_of_memory
+      else if t.next_fresh >= t.nframes then no_frame
       else begin
         let f = t.next_fresh in
         t.next_fresh <- t.next_fresh + 1;
         rc_set t f 1;
         t.used <- t.used + 1;
-        Ok f
+        f
       end
     in
     unlock t;
-    r
+    f
   end
+
+let alloc t =
+  let f = take t in
+  if f = no_frame then Error `Out_of_memory else Ok f
 
 (* With a deny hook installed, the batched path must consult it once per
    frame — exactly like [n] successive allocs would — so "fail the Nth
@@ -142,11 +176,12 @@ let alloc_upto_hooked t n =
   let rec go k =
     if k >= n then k
     else
-      match alloc t with
-      | Ok f ->
+      let f = take t in
+      if f = no_frame then k
+      else begin
         out.(k) <- f;
         go (k + 1)
-      | Error `Out_of_memory -> k
+      end
   in
   let k = go 0 in
   if k = n then out else Array.sub out 0 k
@@ -166,14 +201,13 @@ let alloc_upto t n =
   let k = ref 0 in
   (* recycled frames first, newest-freed first — the exact order [n]
      successive allocs would produce *)
-  while !k < n && t.run_top > 0 do
-    let r = t.run_top - 1 in
-    let lo = t.run_lo.(r) and hi = t.run_hi.(r) in
+  while !k < n && t.fill > 0 do
+    let lo = t.chunk.(t.fill - 2) and hi = t.chunk.(t.fill - 1) in
     let take = min (n - !k) (hi - lo + 1) in
     for i = 0 to take - 1 do
       out.(!k + i) <- hi - i
     done;
-    if take = hi - lo + 1 then t.run_top <- r else t.run_hi.(r) <- hi - take;
+    if take = hi - lo + 1 then drop_run t else t.chunk.(t.fill - 1) <- hi - take;
     k := !k + take
   done;
   let fresh = min (n - !k) (t.nframes - t.next_fresh) in

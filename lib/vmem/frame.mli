@@ -57,6 +57,14 @@ val free : t -> int
 val alloc : t -> (frame, [> `Out_of_memory ]) result
 (** Allocate a zero-filled frame with refcount 1. *)
 
+val no_frame : frame
+(** [-1]: what {!take} returns when no frame can be had. *)
+
+val take : t -> frame
+(** {!alloc} without the result box, for per-page loops that must not
+    allocate on the host: the frame, or {!no_frame} when memory is out
+    or the deny hook refused. *)
+
 val alloc_upto : t -> int -> frame array
 (** [alloc_upto t n] allocates up to [n] frames (each refcount 1) in
     exactly the order [n] successive {!alloc} calls would have produced

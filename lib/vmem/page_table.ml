@@ -46,13 +46,15 @@ let privatize = function
     Inner { refs = 1; children }
   | n -> n
 
-(* Read-only walk from the root (level = levels-1) down to the leaf. *)
+(* Read-only walk from the root (level = levels-1) down to the leaf;
+   [[||]] when the leaf does not exist (no option box: fault paths walk
+   once per page). *)
 let rec walk_ro node level vpn =
   match node with
-  | Leaf l -> Some l.entries
+  | Leaf l -> l.entries
   | Inner i -> (
     match i.children.(Addr.table_index ~level vpn) with
-    | None -> None
+    | None -> [||]
     | Some child -> walk_ro child (level - 1) vpn)
 
 (* Walk for writing: privatise every node on the path so mutating the
@@ -114,15 +116,15 @@ let unmap t ~vpn =
 
 let lookup t ~vpn =
   check_vpn vpn;
-  match walk_ro t.root (Addr.levels - 1) vpn with
-  | None -> Pte.absent
-  | Some entries -> entries.(Addr.table_index ~level:0 vpn)
+  let entries = walk_ro t.root (Addr.levels - 1) vpn in
+  if Array.length entries = 0 then Pte.absent
+  else entries.(Addr.table_index ~level:0 vpn)
 
 let update t ~vpn f =
   check_vpn vpn;
-  match walk_ro t.root (Addr.levels - 1) vpn with
-  | None -> false
-  | Some entries ->
+  let entries = walk_ro t.root (Addr.levels - 1) vpn in
+  if Array.length entries = 0 then false
+  else
     let idx = Addr.table_index ~level:0 vpn in
     let old = entries.(idx) in
     if not (Pte.present old) then false
@@ -137,6 +139,16 @@ let update t ~vpn f =
       end;
       true
     end
+
+let find_leaf t ~vpn =
+  check_vpn vpn;
+  walk_ro t.root (Addr.levels - 1) vpn
+
+let writable_leaf t ~vpn =
+  check_vpn vpn;
+  match leaf_for_write t vpn ~create_missing:true with
+  | Some entries -> entries
+  | None -> assert false
 
 let present_count t = t.present
 let lazy_count t = t.lazy_
@@ -213,20 +225,20 @@ let fold_leaves t ~vpn0 ~vpn1 ~init ~missing ~leaf =
       else Addr.entries_per_table - 1
     in
     (match walk_ro t.root (Addr.levels - 1) base with
-    | Some entries ->
-      let writable () =
-        match leaf_for_write t base ~create_missing:false with
-        | Some e -> e
-        | None -> assert false
-      in
-      acc := leaf !acc ~base ~entries ~lo ~hi ~writable
-    | None ->
+    | [||] ->
       let materialize () =
         match leaf_for_write t base ~create_missing:true with
         | Some e -> e
         | None -> assert false
       in
-      acc := missing !acc ~vpn:(base + lo) ~span:(hi - lo + 1) ~materialize);
+      acc := missing !acc ~vpn:(base + lo) ~span:(hi - lo + 1) ~materialize
+    | entries ->
+      let writable () =
+        match leaf_for_write t base ~create_missing:false with
+        | Some e -> e
+        | None -> assert false
+      in
+      acc := leaf !acc ~base ~entries ~lo ~hi ~writable);
     incr li
   done;
   !acc

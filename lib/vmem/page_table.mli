@@ -10,9 +10,10 @@
     table nodes are reference-counted, so {!clone_cow_shared} can charge
     the full modelled copy while actually sharing untouched subtrees
     between parent and child, privatising them only when written. Range
-    operations ({!map_range}, {!unmap_range}, {!protect_range},
-    {!fold_leaves}) locate each leaf once and then work on its packed
-    PTE array directly, making hot paths O(leaves), not O(pages). *)
+    operations ({!map_range}, {!unmap_range}, {!protect_range}, and
+    cursors over {!find_leaf} and {!writable_leaf}) locate each leaf
+    once and then work on its packed PTE array directly, making hot
+    paths O(leaves), not O(pages). *)
 
 type t
 
@@ -81,38 +82,26 @@ val protect_range : t -> vpn0:int -> vpn1:int -> f:(Pte.t -> Pte.t) -> int
     present entries. Equivalent to {!update} on every page of the
     range. *)
 
-val fold_leaves :
-  t ->
-  vpn0:int ->
-  vpn1:int ->
-  init:'a ->
-  missing:('a -> vpn:int -> span:int -> materialize:(unit -> int array) -> 'a) ->
-  leaf:
-    ('a ->
-    base:int ->
-    entries:int array ->
-    lo:int ->
-    hi:int ->
-    writable:(unit -> int array) ->
-    'a) ->
-  'a
-(** Leaf-granular cursor over the vpn range [[vpn0, vpn1]], ascending.
-    For each leaf position, calls [leaf] when the leaf exists —
-    [entries] is its packed PTE array, [lo..hi] the indices inside the
-    range, [base] the vpn of [entries.(0)]; treat [entries] as read-only
-    and call [writable ()] (which privatises the path) before mutating —
-    or [missing] when it doesn't, where [materialize ()] creates the
-    leaf (and any intermediate nodes) on demand. Callers that install or
-    remove entries directly must report the net present-count change via
-    {!note_mapped}. *)
+val find_leaf : t -> vpn:int -> Pte.t array
+(** The packed entry array of the leaf covering [vpn] (index it with
+    [vpn land (Addr.entries_per_table - 1)]), or [[||]] when that leaf
+    does not exist. The array may be shared with a clone: read it only,
+    and write through {!writable_leaf}. For cursors that visit many
+    pages of one leaf, locating it once. *)
+
+val writable_leaf : t -> vpn:int -> Pte.t array
+(** The leaf covering [vpn], privatised from any clone and created
+    (with its intermediate nodes) when missing: entries may be written
+    directly, reporting count changes via {!note_mapped} and
+    {!note_lazy}. *)
 
 val note_mapped : t -> int -> unit
 (** Adjust the present-entry counter by [n] — for range fillers writing
-    through {!fold_leaves}. *)
+    through {!writable_leaf}. *)
 
 val note_lazy : t -> int -> unit
 (** Adjust the lazy-entry counter by [n] — for batched fault paths that
-    convert lazy entries to present through {!fold_leaves} (which must
+    convert lazy entries to present through {!writable_leaf} (which must
     also {!note_mapped} the same count). *)
 
 val clone_cow : t -> frames:Frame.t -> cost:Cost.t -> t

@@ -53,6 +53,7 @@ let perm t =
     exec = t land bit_exec <> 0;
   }
 
+let writable t = t land bit_write <> 0
 let cow t = t land bit_cow <> 0
 let accessed t = t land bit_accessed <> 0
 let dirty t = t land bit_dirty <> 0

@@ -32,6 +32,9 @@ val make_lazy : cookie:int -> perm:Perm.t -> unit -> t
 
 val frame : t -> Frame.frame
 val perm : t -> Perm.t
+val writable : t -> bool
+(** [(perm t).write] without building the permission record. *)
+
 val cow : t -> bool
 val accessed : t -> bool
 val dirty : t -> bool

@@ -866,11 +866,12 @@ let prop_cow_model =
 
 type oracle_op =
   | O_mmap of int * int * int * bool  (* page offset, pages, perm, shared *)
-  | O_map_lazy of int * int * int  (* page offset, pages, perm *)
+  | O_map_lazy of int * int * int * bool  (* page offset, pages, perm, image kind *)
   | O_touch of int * int
   | O_protect of int * int * int
   | O_munmap of int * int
   | O_clone
+  | O_zygote  (* seal the current space, continue in a lazy child of it *)
 
 let gen_oracle_scenario =
   QCheck.Gen.(
@@ -885,8 +886,8 @@ let gen_oracle_scenario =
               (pair (int_bound 2) bool) );
           ( 3,
             map3
-              (fun off len p -> O_map_lazy (off, len, p))
-              (int_bound (arena - 1)) (1 -- 16) (int_bound 2) );
+              (fun off len (p, image) -> O_map_lazy (off, len, p, image))
+              (int_bound (arena - 1)) (1 -- 16) (pair (int_bound 2) bool) );
           (6, map2 (fun off len -> O_touch (off, len)) (int_bound (arena - 1)) (1 -- 24));
           ( 3,
             map3
@@ -894,9 +895,52 @@ let gen_oracle_scenario =
               (int_bound (arena - 1)) (1 -- 16) (int_bound 2) );
           (2, map2 (fun off len -> O_munmap (off, len)) (int_bound (arena - 1)) (1 -- 24));
           (2, return O_clone);
+          (1, return O_zygote);
         ]
     in
-    pair (triple (list_size (1 -- 45) op) bool bool) (int_bound 3))
+    (* failure schedules on one draw counter that the pager's deny hook
+       and the frame allocator's share, like the kernel's single fault
+       stream: the batched pass must consult them in the per-page walk's
+       order for the same draws to fail. [None] installs no hook. *)
+    let draws = list_size (0 -- 4) (1 -- 120) in
+    let sched =
+      frequency [ (1, return None); (2, map (fun s -> Some s) (pair draws draws)) ]
+    in
+    pair (triple (list_size (1 -- 45) op) bool bool) (triple (int_bound 3) sched bool))
+
+(* A warm space frozen into a template, continued in a lazy child: the
+   prefix that puts the random ops over a backing table. *)
+let zygote_prefix =
+  [ O_mmap (0, 24, 1, false); O_touch (0, 20); O_mmap (40, 16, 1, false);
+    O_touch (40, 16); O_zygote ]
+
+(* The test pager: cookie class by low bit, integer-valued fetch costs
+   (so batching cannot round differently), the template priced apart. *)
+let test_pager ?(deny = fun () -> false) fr ~readahead =
+  {
+    Vmem.Addr_space.frames = fr;
+    fetch_class = (fun cookie -> cookie land 1);
+    fetches =
+      [|
+        { category = "pager:fetch-zero"; cycles = (fun _ -> 100.0) };
+        { category = "pager:fetch-image"; cycles = (fun _ -> 240.0) };
+      |];
+    template = { category = "pager:fetch-template"; cycles = (fun _ -> 60.0) };
+    deny;
+    readahead;
+  }
+
+type oracle_space = {
+  fr : Vmem.Frame.t;
+  cost : Vmem.Cost.t;
+  blame : Vmem.Blame.t;
+  seen : (string, float * int) Hashtbl.t;  (** what the meter observer saw *)
+  draws : int ref;
+  mutable cur : Vmem.Addr_space.t;
+  mutable child : Vmem.Addr_space.t option;
+  mutable sources : Vmem.Addr_space.t list;  (** sealed into a template *)
+  mutable templates : Vmem.Addr_space.t list;
+}
 
 let prop_batched_oracle =
   let perm_of = [| Vmem.Perm.r; Vmem.Perm.rw; Vmem.Perm.rwx |] in
@@ -908,7 +952,8 @@ let prop_batched_oracle =
   QCheck.Test.make ~count:200
     ~name:"addr space: batched paths match the per-page oracle"
     (QCheck.make gen_oracle_scenario)
-    (fun ((ops, small_phys, overcommit), readahead) ->
+    (fun ((ops, small_phys, overcommit), (readahead, sched, from_zygote)) ->
+      let ops = if from_zygote then zygote_prefix @ ops else ops in
       let make batched =
         let fr =
           Vmem.Frame.create
@@ -917,25 +962,30 @@ let prop_batched_oracle =
             ()
         in
         let cost = Vmem.Cost.create () in
-        let tlb = Vmem.Tlb.create cost in
-        let a = Vmem.Addr_space.create ~batched ~frames:fr ~cost ~tlb () in
-        (* a minimal pager so lazy maps and first-touch major faults run
-           in both spaces: fetch costs are integer-valued so batching
-           cannot round differently *)
-        Vmem.Addr_space.set_pager a
+        let blame = Vmem.Blame.create () in
+        let seen = Hashtbl.create 16 in
+        Vmem.Cost.set_observer cost
           (Some
-             {
-               Vmem.Addr_space.fetch =
-                 (fun cost ~cookie:_ ~frame:_ ->
-                   Vmem.Cost.charge cost "pager:fetch-zero" 100.0);
-               fetch_backing =
-                 (fun cost ~src ~dst ->
-                   Vmem.Cost.charge cost "pager:fetch-template" 60.0;
-                   Vmem.Frame.copy_contents fr ~src ~dst);
-               deny = (fun () -> false);
-               readahead;
-             });
-        (fr, cost, a, ref None)
+             (fun cat ~n cycles ->
+               Vmem.Blame.on_cost blame cat ~n cycles;
+               let c, k = Option.value ~default:(0.0, 0) (Hashtbl.find_opt seen cat) in
+               Hashtbl.replace seen cat (c +. cycles, k + n)));
+        let draws = ref 0 in
+        let hook fails () =
+          incr draws;
+          List.mem !draws fails
+        in
+        let deny =
+          match sched with
+          | None -> fun () -> false
+          | Some (pager_fails, frame_fails) ->
+            Vmem.Frame.set_deny_alloc fr (Some (hook frame_fails));
+            hook pager_fails
+        in
+        let tlb = Vmem.Tlb.create cost in
+        let a = Vmem.Addr_space.create ~batched ~blame ~frames:fr ~cost ~tlb () in
+        Vmem.Addr_space.set_pager a (Some (test_pager ~deny fr ~readahead));
+        { fr; cost; blame; seen; draws; cur = a; child = None; sources = []; templates = [] }
       in
       let fast = make true in
       let slow = make false in
@@ -947,20 +997,30 @@ let prop_batched_oracle =
         Vmem.Addr_space.fold_lazy a ~init:[] ~f:(fun acc ~vpn ~pte ->
             (vpn, pte) :: acc)
       in
-      let state (fr, cost, a, child) =
-        ( Vmem.Cost.total cost,
-          List.sort compare (Vmem.Cost.by_category_counts cost),
-          (Vmem.Frame.used fr, Vmem.Frame.committed fr),
+      let state sp =
+        let a = sp.cur in
+        ( ( Vmem.Cost.total sp.cost,
+            List.sort compare (Vmem.Cost.by_category_counts sp.cost),
+            List.sort compare (List.of_seq (Hashtbl.to_seq sp.seen)),
+            Metrics.Json.to_string (Vmem.Blame.to_json sp.blame) ),
+          ( Vmem.Frame.used sp.fr,
+            Vmem.Frame.committed sp.fr,
+            Vmem.Frame.pinned sp.fr,
+            !(sp.draws) ),
           ( Vmem.Addr_space.resident_pages a,
             Vmem.Addr_space.pt_nodes a,
             Vmem.Addr_space.vma_count a,
             Vmem.Addr_space.lazy_pages a ),
           (ptes a, lazies a),
-          Option.map (fun c -> (ptes c, lazies c)) !child )
+          Option.map (fun c -> (ptes c, lazies c)) sp.child )
       in
-      let apply (fr, _, a, child) op =
+      let event sp style f =
+        let id = Vmem.Blame.new_event sp.blame ~style ~parent:0 in
+        (id, Vmem.Blame.with_context sp.blame ~id Vmem.Blame.Sync f)
+      in
+      let apply sp op =
+        let a = sp.cur in
         let base = Vmem.Addr_space.mmap_base a in
-        ignore fr;
         match op with
         | O_mmap (off, len, p, shared) -> (
           match
@@ -972,11 +1032,14 @@ let prop_batched_oracle =
           | Error `Overlap -> "mmap:overlap"
           | Error `Commit_limit -> "mmap:commit"
           | Error `Invalid -> "mmap:invalid")
-        | O_map_lazy (off, len, p) -> (
+        | O_map_lazy (off, len, p, image) -> (
+          (* two cookie kinds: a constant zero cookie, and image pages
+             numbered from the offset in strides that keep the class bit *)
+          let cookie0, stride = if image then ((2 * off) + 1, 2) else (0, 0) in
           match
             Vmem.Addr_space.map_lazy ~addr:(base + (off * page))
               ~len:(len * page) ~perm:perm_of.(p) ~kind:Vmem.Vma.Anon
-              ~cookie0:0 ~stride:0 a
+              ~cookie0 ~stride a
           with
           | Ok x -> Printf.sprintf "lazy:%x" x
           | Error `No_space -> "lazy:nospace"
@@ -1006,17 +1069,41 @@ let prop_batched_oracle =
           | Ok () -> "munmap:ok"
           | Error `Invalid -> "munmap:invalid")
         | O_clone -> (
-          (match !child with
+          (match sp.child with
           | Some c ->
             Vmem.Addr_space.destroy c;
-            child := None
+            sp.child <- None
           | None -> ());
-          match Vmem.Addr_space.clone_cow a with
-          | Ok c ->
-            child := Some c;
+          match event sp "fork" (fun () -> Vmem.Addr_space.clone_cow a) with
+          | id, Ok c ->
+            Vmem.Addr_space.set_blame_origin a id;
+            Vmem.Addr_space.set_blame_origin c id;
+            sp.child <- Some c;
             "clone:ok"
-          | Error `Commit_limit -> "clone:commit"
-          | Error `Out_of_memory -> "clone:oom")
+          | _, Error `Commit_limit -> "clone:commit"
+          | _, Error `Out_of_memory -> "clone:oom")
+        | O_zygote -> (
+          (* a lazy zygote child faults its pages from the template's
+             backing table; later munmaps punch holes into it. Like the
+             kernel's freeze, only a sole owner with no unresolved
+             pager-backed page is sealed. *)
+          if Vmem.Addr_space.pager_active a || not (Vmem.Addr_space.sole_owner a)
+          then "zygote:busy"
+          else
+            let id, tpl = event sp "freeze" (fun () -> Vmem.Addr_space.seal a) in
+            Vmem.Addr_space.set_blame_origin a id;
+            sp.templates <- tpl :: sp.templates;
+            match
+              event sp "zygote" (fun () ->
+                  Vmem.Addr_space.clone_from_sealed ~lazy_:true tpl
+                    ~commit_pages:(Vmem.Addr_space.committed_pages a))
+            with
+            | id, Ok (c, _) ->
+              Vmem.Addr_space.set_blame_origin c id;
+              sp.sources <- a :: sp.sources;
+              sp.cur <- c;
+              "zygote:ok"
+            | _, Error `Commit_limit -> "zygote:commit")
       in
       List.iteri
         (fun i op ->
@@ -1028,13 +1115,99 @@ let prop_batched_oracle =
           if state fast <> state slow then
             Alcotest.failf "op %d (%s): state diverged" i rf)
         ops;
-      let finish (fr, _, a, child) =
-        (match !child with Some c -> Vmem.Addr_space.destroy c | None -> ());
-        Vmem.Addr_space.destroy a;
-        (Vmem.Frame.used fr, Vmem.Frame.committed fr)
+      let finish sp =
+        Option.iter Vmem.Addr_space.destroy sp.child;
+        List.iter Vmem.Addr_space.destroy (sp.cur :: sp.sources);
+        List.iter Vmem.Addr_space.destroy_sealed sp.templates;
+        (Vmem.Frame.used sp.fr, Vmem.Frame.committed sp.fr)
       in
       let uf = finish fast and us = finish slow in
       uf = us && uf = (0, 0))
+
+(* Readahead marks outlive the space's last lazy page: once page 0's
+   fault resolves every lazy entry, the space is no longer pager-active,
+   yet the first touches of pages 1-2 are still readahead hits that must
+   clear their marks — batched or not. *)
+let test_readahead_hits_after_last_lazy () =
+  List.iter
+    (fun batched ->
+      let fr = Vmem.Frame.create ~frames:64 () in
+      let cost = Vmem.Cost.create () in
+      let a =
+        Vmem.Addr_space.create ~batched ~frames:fr ~cost ~tlb:(Vmem.Tlb.create cost) ()
+      in
+      Vmem.Addr_space.set_pager a (Some (test_pager fr ~readahead:2));
+      let x =
+        ok
+          (Vmem.Addr_space.map_lazy ~len:(3 * page) ~perm:Vmem.Perm.rw
+             ~kind:Vmem.Vma.Anon ~cookie0:0 ~stride:0 a)
+      in
+      check_int "page 0" 1 (ok (Vmem.Addr_space.touch_range a ~addr:x ~len:page));
+      check_bool "no lazy page left" false (Vmem.Addr_space.pager_active a);
+      check_int "pages 1-2" 2
+        (ok (Vmem.Addr_space.touch_range a ~addr:(x + page) ~len:(2 * page)));
+      let marks =
+        Vmem.Addr_space.fold_resident a ~init:0 ~f:(fun n ~vpn:_ ~pte ->
+            if Vmem.Pte.prefetched pte then n + 1 else n)
+      in
+      let what = if batched then "batched " else "per-page " in
+      check_int (what ^ "readahead hits") 2 (Vmem.Cost.count cost "pager:readahead-hit");
+      check_int (what ^ "marks left") 0 marks;
+      Vmem.Addr_space.destroy a)
+    [ true; false ]
+
+(* A pager belongs to one machine's memory, and its cookie classes must
+   name one of its prices. *)
+let test_pager_validation () =
+  List.iter
+    (fun batched ->
+      let fr = Vmem.Frame.create ~frames:64 () in
+      let cost = Vmem.Cost.create () in
+      let a =
+        Vmem.Addr_space.create ~batched ~frames:fr ~cost ~tlb:(Vmem.Tlb.create cost) ()
+      in
+      let other = Vmem.Frame.create ~frames:64 () in
+      Alcotest.check_raises "pager of another machine"
+        (Invalid_argument "Addr_space.set_pager: pager serves another machine's frames")
+        (fun () -> Vmem.Addr_space.set_pager a (Some (test_pager other ~readahead:0)));
+      Vmem.Addr_space.set_pager a
+        (Some { (test_pager fr ~readahead:0) with fetch_class = (fun _ -> 2) });
+      let x =
+        ok
+          (Vmem.Addr_space.map_lazy ~len:page ~perm:Vmem.Perm.rw ~kind:Vmem.Vma.Anon
+             ~cookie0:0 ~stride:0 a)
+      in
+      Alcotest.check_raises "cookie class out of range"
+        (Invalid_argument "Addr_space: pager fetch class out of range")
+        (fun () -> ignore (Vmem.Addr_space.touch_range a ~addr:x ~len:page));
+      check_int "entry still lazy" 1 (Vmem.Addr_space.lazy_pages a);
+      check_int "no frame taken" 0 (Vmem.Frame.used fr);
+      Vmem.Addr_space.destroy a)
+    [ true; false ]
+
+(* The batched lazy pass charges per touch, not per page: a 4096-page
+   first touch without readahead reaches the meter observer a handful of
+   times (fault:base, pager:request, one fetch class), where the
+   per-page walk made three calls per page. *)
+let test_lazy_touch_observer_calls () =
+  let pages = 4096 in
+  let fr = Vmem.Frame.create ~frames:(pages + 64) () in
+  let cost = Vmem.Cost.create () in
+  let calls = ref 0 in
+  Vmem.Cost.set_observer cost (Some (fun _ ~n:_ _ -> incr calls));
+  let a = Vmem.Addr_space.create ~frames:fr ~cost ~tlb:(Vmem.Tlb.create cost) () in
+  Vmem.Addr_space.set_pager a (Some (test_pager fr ~readahead:0));
+  let x =
+    ok
+      (Vmem.Addr_space.map_lazy ~len:(pages * page) ~perm:Vmem.Perm.rw
+         ~kind:Vmem.Vma.Anon ~cookie0:1 ~stride:2 a)
+  in
+  calls := 0;
+  check_int "touched" pages (ok (Vmem.Addr_space.touch_range a ~addr:x ~len:(pages * page)));
+  check_bool "at most 8 observer calls" true (!calls <= 8);
+  check_int "one request per page" pages (Vmem.Cost.count cost "pager:request");
+  check_int "image pages fetched" pages (Vmem.Cost.count cost "pager:fetch-image");
+  Vmem.Addr_space.destroy a
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 let tc n f = Alcotest.test_case n `Quick f
@@ -1111,6 +1284,9 @@ let () =
           tc "shared mapping fork" test_as_shared_mapping_fork;
           tc "map image page" test_as_map_image_page;
           tc "oom fault" test_as_oom_fault;
+          tc "readahead hits after last lazy page" test_readahead_hits_after_last_lazy;
+          tc "lazy touch observer calls" test_lazy_touch_observer_calls;
+          tc "pager validation" test_pager_validation;
         ] );
       qsuite "addr-space-props"
         [ prop_as_fork_refcounts; prop_cow_model; prop_batched_oracle ];
