@@ -1030,47 +1030,134 @@ let clone_cow t =
     as_shootdown t;
     Ok (clone_common t ~pt:child_pt ~committed_charge:t.committed)
 
+(* The eager copy's reference walk, page by page: one region lookup, one
+   frame allocation and one charge per private page, then the lazy
+   entries, copied verbatim. Stops at the first frame it cannot get. *)
+let eager_copy_pages t child_pt =
+  let p = params t in
+  let result =
+    Page_table.fold_present t.pt ~init:(Ok ()) ~f:(fun acc ~vpn pte ->
+        match acc with
+        | Error _ as e -> e
+        | Ok () -> (
+          let vma = Region_map.find_containing (Addr.addr_of_page vpn) t.regions in
+          let perm =
+            match vma with Some (_, _, v) -> v.Vma.perm | None -> Pte.perm pte
+          in
+          let shared =
+            match vma with Some (_, _, v) -> v.Vma.shared | None -> false
+          in
+          if shared then begin
+            Frame.incref t.frames (Pte.frame pte);
+            Page_table.map child_pt ~vpn (Pte.make ~frame:(Pte.frame pte) ~perm ());
+            Ok ()
+          end
+          else
+            match Frame.alloc t.frames with
+            | Error `Out_of_memory -> Error `Out_of_memory
+            | Ok fresh ->
+              Cost.charge t.cost "fork:eager-copy" p.Cost.frame_copy;
+              Frame.copy_contents t.frames ~src:(Pte.frame pte) ~dst:fresh;
+              Page_table.map child_pt ~vpn (Pte.make ~frame:fresh ~perm ());
+              Ok ()))
+  in
+  if result = Ok () then
+    Page_table.fold_lazy t.pt ~init:() ~f:(fun () ~vpn pte ->
+        let leaf = Page_table.writable_leaf child_pt ~vpn in
+        leaf.(vpn land (Addr.entries_per_table - 1)) <- pte;
+        Page_table.note_lazy child_pt 1);
+  result
+
+exception Eager_oom
+
+(* The eager copy in one ascending pass over the parent's leaves: each
+   child leaf is filled directly, each page's region read from one
+   cursor over the region list, and [fork:eager-copy] charged once for
+   all the copies made — also when the pass stops at a frame it cannot
+   get. Frames are taken, and the deny hook drawn, in the walk's order. *)
+let eager_copy_leaves t child_pt =
+  let regions = ref (Region_map.to_list t.regions) in
+  (* the region cursor: pages [lo, hi] of the first region not wholly
+     below the last page visited *)
+  let lo = ref max_int and hi = ref (-1) in
+  let rperm = ref Perm.none and rshared = ref false in
+  let rec seek vpn =
+    match !regions with
+    | (s, e, vma) :: rest ->
+      let last = Addr.page_number (e - 1) in
+      if last < vpn then begin
+        regions := rest;
+        seek vpn
+      end
+      else begin
+        lo := Addr.page_number s;
+        hi := last;
+        rperm := vma.Vma.perm;
+        rshared := vma.Vma.shared
+      end
+    | [] ->
+      lo := max_int;
+      hi := max_int
+  in
+  let copies = ref 0 in
+  let copy_leaf ~base entries =
+    let first = ref 0 in
+    while !first < Addr.entries_per_table && entries.(!first) = Pte.absent do
+      incr first
+    done;
+    if !first < Addr.entries_per_table then begin
+      let dst = Page_table.writable_leaf child_pt ~vpn:base in
+      let mapped = ref 0 and lazies = ref 0 in
+      for i = !first to Addr.entries_per_table - 1 do
+        let pte = entries.(i) in
+        if Pte.present pte then begin
+          let vpn = base lor i in
+          if vpn > !hi then seek vpn;
+          let frame = Pte.frame pte in
+          if vpn >= !lo && !rshared then begin
+            Frame.incref t.frames frame;
+            dst.(i) <- Pte.make ~frame ~perm:!rperm ()
+          end
+          else begin
+            let fresh = Frame.take t.frames in
+            if fresh = Frame.no_frame then begin
+              Page_table.note_mapped child_pt !mapped;
+              raise Eager_oom
+            end;
+            Frame.copy_contents t.frames ~src:frame ~dst:fresh;
+            let perm = if vpn >= !lo then !rperm else Pte.perm pte in
+            dst.(i) <- Pte.make ~frame:fresh ~perm ();
+            incr copies
+          end;
+          incr mapped
+        end
+        else if Pte.lazy_ pte then begin
+          dst.(i) <- pte;
+          incr lazies
+        end
+      done;
+      Page_table.note_mapped child_pt !mapped;
+      Page_table.note_lazy child_pt !lazies
+    end
+  in
+  let result =
+    match Page_table.iter_leaves t.pt ~f:copy_leaf with
+    | () -> Ok ()
+    | exception Eager_oom -> Error `Out_of_memory
+  in
+  charge_n t.cost "fork:eager-copy" ~n:!copies (params t).Cost.frame_copy;
+  result
+
 let clone_eager t =
   alive t "Addr_space.clone_eager";
   let p = params t in
   match Frame.commit t.frames t.committed with
   | Error `Commit_limit -> Error `Commit_limit
-  | Ok () ->
+  | Ok () -> (
     Cost.charge ~n:(Region_map.cardinal t.regions) t.cost "fork:vma"
       (p.Cost.vma_clone *. float_of_int (Region_map.cardinal t.regions));
     let child_pt = Page_table.create () in
-    let result =
-      Page_table.fold_present t.pt ~init:(Ok ()) ~f:(fun acc ~vpn pte ->
-          match acc with
-          | Error _ as e -> e
-          | Ok () -> (
-            let vma =
-              Region_map.find_containing (Addr.addr_of_page vpn) t.regions
-            in
-            let perm =
-              match vma with
-              | Some (_, _, v) -> v.Vma.perm
-              | None -> Pte.perm pte
-            in
-            let shared =
-              match vma with Some (_, _, v) -> v.Vma.shared | None -> false
-            in
-            if shared then begin
-              Frame.incref t.frames (Pte.frame pte);
-              Page_table.map child_pt ~vpn
-                (Pte.make ~frame:(Pte.frame pte) ~perm ());
-              Ok ()
-            end
-            else
-              match Frame.alloc t.frames with
-              | Error `Out_of_memory -> Error `Out_of_memory
-              | Ok fresh ->
-                Cost.charge t.cost "fork:eager-copy" p.Cost.frame_copy;
-                Frame.copy_contents t.frames ~src:(Pte.frame pte) ~dst:fresh;
-                Page_table.map child_pt ~vpn (Pte.make ~frame:fresh ~perm ());
-                Ok ()))
-    in
-    (match result with
+    match (if t.batched then eager_copy_leaves else eager_copy_pages) t child_pt with
     | Error `Out_of_memory ->
       ignore (Page_table.clear child_pt ~frames:t.frames);
       Frame.uncommit t.frames t.committed;
@@ -1153,8 +1240,10 @@ let sole_owner t =
 let destroy_sealed t =
   if not t.dead then begin
     Cost.charge t.cost "proc:destroy" (params t).Cost.proc_destroy;
-    Page_table.fold_present t.pt ~init:() ~f:(fun () ~vpn:_ pte ->
-        Frame.unpin t.frames (Pte.frame pte));
+    Page_table.iter_leaves t.pt ~f:(fun ~base:_ entries ->
+        Array.iter
+          (fun pte -> if Pte.present pte then Frame.unpin t.frames (Pte.frame pte))
+          entries);
     ignore (Page_table.clear t.pt ~frames:t.frames);
     Frame.uncommit t.frames t.committed;
     t.committed <- 0;

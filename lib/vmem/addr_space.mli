@@ -220,8 +220,20 @@ val clone_cow : t -> (t, [> `Commit_limit | `Out_of_memory ]) result
     [mmap_base] — the layout-inheritance property that weakens ASLR. *)
 
 val clone_eager : t -> (t, [> `Commit_limit | `Out_of_memory ]) result
-(** Eager copy (no COW): every resident page is copied immediately. The
-    ablation baseline for E9. *)
+(** Eager copy (no COW): every resident private page is copied
+    immediately into a fresh frame (one ["fork:eager-copy"] per page);
+    pages of shared VMAs are shared, at the region permission. Lazy
+    (demand-paged) entries are copied verbatim, with no frame and no
+    charge, so the child faults them through the pager like a COW
+    child does. The ablation baseline for E9.
+
+    A batched space does it in one pass over the parent's leaves and
+    makes one ["fork:eager-copy"] charge for all its copies (none when
+    it copies nothing); the cost breakdown, event counts and order of
+    frame allocations and deny-hook draws are those of the per-page
+    walk [~batched:false] keeps. If a frame cannot be had, the copies
+    made before it stay charged, the partial child is freed and its
+    commit released, and the result is [Error `Out_of_memory]. *)
 
 val seal : t -> t
 (** Freeze the address space into an immutable template image: one

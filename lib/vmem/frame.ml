@@ -438,10 +438,13 @@ let read_string t f ~off ~len =
 let copy_contents t ~src ~dst =
   check_frame t src "Frame.copy_contents";
   check_frame t dst "Frame.copy_contents";
-  lock t;
-  (match Hashtbl.find_opt t.data src with
-  | None -> ()
-  | Some b ->
-    Hashtbl.replace t.data dst (Bytes.copy b);
-    if dst > t.data_max then t.data_max <- dst);
-  unlock t
+  (* a frame above [data_max] never had contents: nothing to look up *)
+  if src <= t.data_max then begin
+    lock t;
+    (match Hashtbl.find_opt t.data src with
+    | None -> ()
+    | Some b ->
+      Hashtbl.replace t.data dst (Bytes.copy b);
+      if dst > t.data_max then t.data_max <- dst);
+    unlock t
+  end

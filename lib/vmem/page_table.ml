@@ -156,55 +156,33 @@ let node_count t = t.nodes
 let note_mapped t n = t.present <- t.present + n
 let note_lazy t n = t.lazy_ <- t.lazy_ + n
 
-let fold_present t ~init ~f =
-  (* vpn is reconstructed incrementally: at each level the child index
-     contributes 9 more bits. *)
-  let rec go node level vpn_prefix acc =
+(* Every existing leaf, in ascending vpn order, with the vpn of its
+   first slot. The tree is walked once: O(nodes), never O(pages). *)
+let iter_leaves t ~f =
+  (* the vpn is reconstructed incrementally: at each level the child
+     index contributes 9 more bits *)
+  let rec go node vpn_prefix =
     match node with
-    | Leaf l ->
-      let acc = ref acc in
-      for i = 0 to Addr.entries_per_table - 1 do
-        if Pte.present l.entries.(i) then
-          acc := f !acc ~vpn:((vpn_prefix lsl Addr.index_bits) lor i)
-              l.entries.(i)
-      done;
-      !acc
-    | Inner inner ->
-      let acc = ref acc in
-      for i = 0 to Addr.entries_per_table - 1 do
-        match inner.children.(i) with
+    | Leaf l -> f ~base:(vpn_prefix lsl Addr.index_bits) l.entries
+    | Inner i ->
+      for idx = 0 to Addr.entries_per_table - 1 do
+        match i.children.(idx) with
         | None -> ()
-        | Some child ->
-          acc :=
-            go child (level - 1) ((vpn_prefix lsl Addr.index_bits) lor i) !acc
-      done;
-      !acc
+        | Some child -> go child ((vpn_prefix lsl Addr.index_bits) lor idx)
+      done
   in
-  go t.root (Addr.levels - 1) 0 init
+  go t.root 0
 
-let fold_lazy t ~init ~f =
-  let rec go node level vpn_prefix acc =
-    match node with
-    | Leaf l ->
-      let acc = ref acc in
+let fold_entries t ~keep ~init ~f =
+  let acc = ref init in
+  iter_leaves t ~f:(fun ~base entries ->
       for i = 0 to Addr.entries_per_table - 1 do
-        if Pte.lazy_ l.entries.(i) then
-          acc := f !acc ~vpn:((vpn_prefix lsl Addr.index_bits) lor i)
-              l.entries.(i)
-      done;
-      !acc
-    | Inner inner ->
-      let acc = ref acc in
-      for i = 0 to Addr.entries_per_table - 1 do
-        match inner.children.(i) with
-        | None -> ()
-        | Some child ->
-          acc :=
-            go child (level - 1) ((vpn_prefix lsl Addr.index_bits) lor i) !acc
-      done;
-      !acc
-  in
-  go t.root (Addr.levels - 1) 0 init
+        if keep entries.(i) then acc := f !acc ~vpn:(base lor i) entries.(i)
+      done);
+  !acc
+
+let fold_present t ~init ~f = fold_entries t ~keep:Pte.present ~init ~f
+let fold_lazy t ~init ~f = fold_entries t ~keep:Pte.lazy_ ~init ~f
 
 (* Leaf-granular cursor over [vpn0, vpn1]: one callback per leaf
    position, in ascending vpn order. O(leaves * levels), never
@@ -442,7 +420,13 @@ let fork_transform pte ~shared_perm =
         true
     else pte
 
-let clone_cow_shared t ~frames ~cost ~shared =
+(* The shared fork pass behind {!clone_cow_shared} and {!seal_cow}:
+   [hold] gives one present frame its new owner and [hold_many] the
+   first [k] frames of a scratch array. Callers pass full-arity lambdas:
+   a partial application such as [Frame.incref_many frames] allocates
+   an intermediate closure each time it is applied to its last two
+   arguments. *)
+let share_pass t ~cost ~shared ~hold ~hold_many =
   let p = Cost.params cost in
   (* Charge what the eager walk would have: one pt_node_copy per table
      page (empty ones included — the eager walk copies those too) and
@@ -454,7 +438,7 @@ let clone_cow_shared t ~frames ~cost ~shared =
   let ptes = t.present + t.lazy_ in
   if ptes > 0 then
     Cost.charge ~n:ptes cost "fork:pte" (p.Cost.pte_copy *. float_of_int ptes);
-  (* One ascending pass over the leaves: incref every present frame and
+  (* One ascending pass over the leaves: hold every present frame and
      apply the fork transform in place. A leaf still shared with an
      earlier clone holds only PTEs the transform maps to themselves
      (writable private pages were already downgraded by that clone, and
@@ -462,62 +446,54 @@ let clone_cow_shared t ~frames ~cost ~shared =
      in-place write is invisible through the other table. *)
   let shared_tail = ref shared in
   let scratch = Array.make Addr.entries_per_table 0 in
-  let transform_leaf entries base =
-    (* drop shared ranges wholly below this leaf, then test whether any
-       remaining one overlaps it *)
-    let rec advance () =
-      match !shared_tail with
-      | (_, hi, _) :: rest when hi < base ->
-        shared_tail := rest;
-        advance ()
-      | l -> l
-    in
-    let overlaps_leaf =
-      match advance () with
-      | (lo, _, _) :: _ -> lo <= base + Addr.entries_per_table - 1
-      | [] -> false
-    in
-    if not overlaps_leaf then begin
-      (* the common private-only leaf: one batch downgrade + incref *)
-      let k =
-        Pte.downgrade_run entries ~lo:0 ~hi:(Addr.entries_per_table - 1)
-          ~dst:scratch
+  iter_leaves t ~f:(fun ~base entries ->
+      (* drop shared ranges wholly below this leaf, then test whether any
+         remaining one overlaps it *)
+      let rec advance () =
+        match !shared_tail with
+        | (_, hi, _) :: rest when hi < base ->
+          shared_tail := rest;
+          advance ()
+        | l -> l
       in
-      if k > 0 then Frame.incref_many frames scratch k
-    end
-    else
-      for i = 0 to Addr.entries_per_table - 1 do
-        let pte = entries.(i) in
-        if Pte.present pte then begin
-          let vpn = base lor i in
-          let rec perm_for () =
-            match !shared_tail with
-            | (_, hi, _) :: rest when hi < vpn ->
-              shared_tail := rest;
-              perm_for ()
-            | (lo, _, rperm) :: _ when lo <= vpn -> Some rperm
-            | _ -> None
-          in
-          Frame.incref frames (Pte.frame pte);
-          let updated = fork_transform pte ~shared_perm:(perm_for ()) in
-          if updated <> pte then entries.(i) <- updated
-        end
-      done
-  in
-  let rec go node level vpn_prefix =
-    match node with
-    | Leaf l -> transform_leaf l.entries (vpn_prefix lsl Addr.index_bits)
-    | Inner i ->
-      for idx = 0 to Addr.entries_per_table - 1 do
-        match i.children.(idx) with
-        | None -> ()
-        | Some child ->
-          go child (level - 1) ((vpn_prefix lsl Addr.index_bits) lor idx)
-      done
-  in
-  go t.root (Addr.levels - 1) 0;
+      let overlaps_leaf =
+        match advance () with
+        | (lo, _, _) :: _ -> lo <= base + Addr.entries_per_table - 1
+        | [] -> false
+      in
+      if not overlaps_leaf then begin
+        (* the common private-only leaf: one batch downgrade + hold *)
+        let k =
+          Pte.downgrade_run entries ~lo:0 ~hi:(Addr.entries_per_table - 1)
+            ~dst:scratch
+        in
+        if k > 0 then hold_many scratch k
+      end
+      else
+        for i = 0 to Addr.entries_per_table - 1 do
+          let pte = entries.(i) in
+          if Pte.present pte then begin
+            let vpn = base lor i in
+            let rec perm_for () =
+              match !shared_tail with
+              | (_, hi, _) :: rest when hi < vpn ->
+                shared_tail := rest;
+                perm_for ()
+              | (lo, _, rperm) :: _ when lo <= vpn -> Some rperm
+              | _ -> None
+            in
+            hold (Pte.frame pte);
+            let updated = fork_transform pte ~shared_perm:(perm_for ()) in
+            if updated <> pte then entries.(i) <- updated
+          end
+        done);
   bump t.root;
   { root = t.root; present = t.present; lazy_ = t.lazy_; nodes = t.nodes }
+
+let clone_cow_shared t ~frames ~cost ~shared =
+  share_pass t ~cost ~shared
+    ~hold:(fun f -> Frame.incref frames f)
+    ~hold_many:(fun fs k -> Frame.incref_many frames fs k)
 
 (* Seal pass: identical shape (and identical cost charges) to
    {!clone_cow_shared}, but the frames move into the immortal refcount
@@ -526,67 +502,9 @@ let clone_cow_shared t ~frames ~cost ~shared =
    table is the template's immutable handle; [t] stays usable by the
    source process, whose later writes COW away from the pinned frames. *)
 let seal_cow t ~frames ~cost ~shared =
-  let p = Cost.params cost in
-  Cost.charge ~n:t.nodes cost "fork:pt-node"
-    (p.Cost.pt_node_copy *. float_of_int t.nodes);
-  let ptes = t.present + t.lazy_ in
-  if ptes > 0 then
-    Cost.charge ~n:ptes cost "fork:pte" (p.Cost.pte_copy *. float_of_int ptes);
-  let shared_tail = ref shared in
-  let scratch = Array.make Addr.entries_per_table 0 in
-  let transform_leaf entries base =
-    let rec advance () =
-      match !shared_tail with
-      | (_, hi, _) :: rest when hi < base ->
-        shared_tail := rest;
-        advance ()
-      | l -> l
-    in
-    let overlaps_leaf =
-      match advance () with
-      | (lo, _, _) :: _ -> lo <= base + Addr.entries_per_table - 1
-      | [] -> false
-    in
-    if not overlaps_leaf then begin
-      let k =
-        Pte.downgrade_run entries ~lo:0 ~hi:(Addr.entries_per_table - 1)
-          ~dst:scratch
-      in
-      if k > 0 then Frame.pin_many frames scratch k
-    end
-    else
-      for i = 0 to Addr.entries_per_table - 1 do
-        let pte = entries.(i) in
-        if Pte.present pte then begin
-          let vpn = base lor i in
-          let rec perm_for () =
-            match !shared_tail with
-            | (_, hi, _) :: rest when hi < vpn ->
-              shared_tail := rest;
-              perm_for ()
-            | (lo, _, rperm) :: _ when lo <= vpn -> Some rperm
-            | _ -> None
-          in
-          Frame.pin frames (Pte.frame pte);
-          let updated = fork_transform pte ~shared_perm:(perm_for ()) in
-          if updated <> pte then entries.(i) <- updated
-        end
-      done
-  in
-  let rec go node level vpn_prefix =
-    match node with
-    | Leaf l -> transform_leaf l.entries (vpn_prefix lsl Addr.index_bits)
-    | Inner i ->
-      for idx = 0 to Addr.entries_per_table - 1 do
-        match i.children.(idx) with
-        | None -> ()
-        | Some child ->
-          go child (level - 1) ((vpn_prefix lsl Addr.index_bits) lor idx)
-      done
-  in
-  go t.root (Addr.levels - 1) 0;
-  bump t.root;
-  { root = t.root; present = t.present; lazy_ = t.lazy_; nodes = t.nodes }
+  share_pass t ~cost ~shared
+    ~hold:(fun f -> Frame.pin frames f)
+    ~hold_many:(fun fs k -> Frame.pin_many frames fs k)
 
 (* Clone from a sealed table: every frame behind it is immortal and
    every PTE is already in post-fork form, so there is nothing to

@@ -48,6 +48,13 @@ val node_count : t -> int
     Subtrees shared with a clone count towards both tables (each was
     charged for its copy at fork time). *)
 
+val iter_leaves : t -> f:(base:int -> Pte.t array -> unit) -> unit
+(** Call [f] on every existing leaf in increasing vpn order, with the
+    vpn of the leaf's slot 0 and its packed entry array, in one walk of
+    the tree: O(table nodes), never O(pages). The array may be shared
+    with a clone; as with {!find_leaf}, read it only, unless the caller
+    owns every table sharing it. *)
+
 val fold_present : t -> init:'a -> f:('a -> vpn:int -> Pte.t -> 'a) -> 'a
 (** Iterate all present entries in increasing vpn order. *)
 

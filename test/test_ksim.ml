@@ -1585,6 +1585,44 @@ let test_trace_exporters () =
 let counter cs k =
   Option.value ~default:0 (List.assoc_opt k (Ksim.Kstat.snapshot cs))
 
+(* A fork_eager child of a demand-paged parent keeps the parent's lazy
+   image pages: its first touches of the data segment are major faults
+   served by the pager, exactly as a COW fork child's are — never
+   demand-zero fills of pages the image has data for. *)
+let test_eager_fork_keeps_lazy_pages () =
+  let text_pages = 16 and data_pages = 64 in
+  let data_base = Ksim.Kernel.image_base + (text_pages * page) in
+  let run ~eager =
+    let config =
+      { Ksim.Kernel.default_config with Ksim.Kernel.aslr = false; demand_paging = true }
+    in
+    let init =
+      Ksim.Program.make ~text_kib:(text_pages * page / 1024)
+        ~data_kib:(data_pages * page / 1024) ~name:"/sbin/init" (fun ~argv:_ () ->
+          let fork = if eager then Ksim.Api.fork_eager else Ksim.Api.fork in
+          let pid =
+            ok
+              (fork ~child:(fun () ->
+                   ignore (ok (Ksim.Api.touch ~addr:data_base ~len:(data_pages * page)));
+                   Ksim.Api.exit 0))
+          in
+          ignore (ok (Ksim.Api.wait_for pid)))
+    in
+    match Ksim.Kernel.boot ~config ~programs:[ init ] "/sbin/init" with
+    | Error _ -> Alcotest.fail "boot failed"
+    | Ok (t, outcome) ->
+      all_exited outcome;
+      let g = Ksim.Kstat.global (Ksim.Kernel.kstat t) in
+      (counter g "major-faults", counter g "pages-fetched", counter g "frames-zeroed")
+  in
+  let majors, fetched, zeroed = run ~eager:false in
+  check_int "fork: major faults" data_pages majors;
+  check_int "fork: pages fetched" data_pages fetched;
+  let e_majors, e_fetched, e_zeroed = run ~eager:true in
+  check_int "fork_eager: major faults" data_pages e_majors;
+  check_int "fork_eager: pages fetched" data_pages e_fetched;
+  check_int "fork_eager: no extra zero fills" zeroed e_zeroed
+
 let test_kstat_counters () =
   let pages = 16 in
   let t, outcome =
@@ -2267,6 +2305,7 @@ let () =
           tc "touch" test_touch_counts_pages;
           tc "stack guard page" test_stack_guard_page;
           tc "efault" test_segfault_efault;
+          tc "eager fork keeps lazy pages" test_eager_fork_keeps_lazy_pages;
         ] );
       ( "aslr",
         [

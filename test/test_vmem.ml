@@ -461,11 +461,11 @@ let test_tlb_accounting () =
 (* ------------------------------------------------------------------ *)
 (* Addr_space *)
 
-let make_as ?(frames = 4096) ?policy () =
+let make_as ?(frames = 4096) ?policy ?batched () =
   let fr = Vmem.Frame.create ?policy ~frames () in
   let cost = Vmem.Cost.create () in
   let tlb = Vmem.Tlb.create cost in
-  (fr, Vmem.Addr_space.create ~frames:fr ~cost ~tlb ())
+  (fr, Vmem.Addr_space.create ?batched ~frames:fr ~cost ~tlb ())
 
 let page = Vmem.Addr.page_size
 
@@ -696,18 +696,55 @@ let test_as_fork_commit_limit () =
   let child = ok (Vmem.Addr_space.clone_cow a) in
   Vmem.Addr_space.destroy child
 
+(* An eager clone of a space spanning two leaves of one private VMA
+   (with a munmap hole and materialised bytes in the second leaf) plus a
+   shared VMA: private pages are copied at once, shared pages stay one
+   frame, the hole stays a hole — batched or per-page alike. *)
 let test_as_clone_eager () =
-  let fr, a = make_as () in
-  let x = ok (Vmem.Addr_space.mmap ~len:(2 * page) ~perm:Vmem.Perm.rw ~kind:Vmem.Vma.Anon a) in
-  ok (Vmem.Addr_space.write_byte a x 5);
-  let child = ok (Vmem.Addr_space.clone_eager a) in
-  (* frames copied immediately: 2 used (1 parent + 1 child) *)
-  check_int "frames doubled" 2 (Vmem.Frame.used fr);
-  check_int "child copy" 5 (ok (Vmem.Addr_space.read_byte child x));
-  (* no COW: parent write doesn't affect child and allocates nothing *)
-  ok (Vmem.Addr_space.write_byte a x 6);
-  check_int "still 2 frames" 2 (Vmem.Frame.used fr);
-  check_int "child isolated" 5 (ok (Vmem.Addr_space.read_byte child x))
+  List.iter
+    (fun batched ->
+      let fr, a = make_as ~batched () in
+      let leaf = Vmem.Addr.entries_per_table in
+      let x =
+        ok (Vmem.Addr_space.mmap ~len:(2 * leaf * page) ~perm:Vmem.Perm.rw ~kind:Vmem.Vma.Anon a)
+      in
+      let y =
+        ok
+          (Vmem.Addr_space.mmap ~shared:true ~len:(4 * page) ~perm:Vmem.Perm.rw
+             ~kind:Vmem.Vma.Anon a)
+      in
+      ignore (ok (Vmem.Addr_space.touch_range a ~addr:x ~len:(2 * leaf * page)));
+      ignore (ok (Vmem.Addr_space.touch_range a ~addr:y ~len:(4 * page)));
+      ok (Vmem.Addr_space.write_byte a x 5);
+      let second = x + ((leaf + 188) * page) in
+      ok (Vmem.Addr_space.write_byte a second 9);
+      let hole = x + (300 * page) in
+      ok (Vmem.Addr_space.munmap a ~addr:hole ~len:(10 * page));
+      let private_pages = (2 * leaf) - 10 in
+      check_int "parent resident" (private_pages + 4) (Vmem.Frame.used fr);
+      let child = ok (Vmem.Addr_space.clone_eager a) in
+      (* private pages copied at once, shared pages not *)
+      check_int "frames" ((2 * private_pages) + 4) (Vmem.Frame.used fr);
+      check_int "child resident" (private_pages + 4) (Vmem.Addr_space.resident_pages child);
+      check_int "child table nodes" (Vmem.Addr_space.pt_nodes a) (Vmem.Addr_space.pt_nodes child);
+      check_int "child copy, first leaf" 5 (ok (Vmem.Addr_space.read_byte child x));
+      check_int "child copy, second leaf" 9 (ok (Vmem.Addr_space.read_byte child second));
+      (match Vmem.Addr_space.read_byte child hole with
+      | Error `Segfault -> ()
+      | _ -> Alcotest.fail "the hole must stay unmapped in the child");
+      (* no COW: a parent write doesn't reach the child and allocates nothing *)
+      ok (Vmem.Addr_space.write_byte a x 6);
+      ok (Vmem.Addr_space.write_byte a second 7);
+      check_int "no frame on write" ((2 * private_pages) + 4) (Vmem.Frame.used fr);
+      check_int "child isolated" 5 (ok (Vmem.Addr_space.read_byte child x));
+      check_int "child isolated, second leaf" 9 (ok (Vmem.Addr_space.read_byte child second));
+      (* the shared VMA: a child write is the parent's too *)
+      ok (Vmem.Addr_space.write_byte child (y + page) 42);
+      check_int "parent sees shared write" 42 (ok (Vmem.Addr_space.read_byte a (y + page)));
+      Vmem.Addr_space.destroy child;
+      Vmem.Addr_space.destroy a;
+      check_int "all freed" 0 (Vmem.Frame.used fr))
+    [ true; false ]
 
 let test_as_shared_mapping_fork () =
   let _, a = make_as () in
@@ -858,11 +895,12 @@ let prop_cow_model =
 
 (* ------------------------------------------------------------------ *)
 (* Batched-vs-reference oracle: the O(range) fast paths (leaf batch ops,
-   lazily shared page-table subtrees on fork) must be indistinguishable
-   from the per-page reference walks ([~batched:false]) — identical op
-   results, PTE contents, cost breakdown with event counts, and frame
-   accounting — under arbitrary interleavings of map / touch / mprotect
-   / clone / unmap, including OOM and commit-limit failures. *)
+   lazily shared page-table subtrees on fork, the leaf-granular eager
+   copy) must be indistinguishable from the per-page reference walks
+   ([~batched:false]) — identical op results, PTE contents, page bytes,
+   cost breakdown with event counts, and frame accounting — under
+   arbitrary interleavings of map / touch / write / mprotect / clone /
+   eager clone / unmap, including OOM and commit-limit failures. *)
 
 type oracle_op =
   | O_mmap of int * int * int * bool  (* page offset, pages, perm, shared *)
@@ -870,7 +908,9 @@ type oracle_op =
   | O_touch of int * int
   | O_protect of int * int * int
   | O_munmap of int * int
+  | O_write of int * int  (* page offset, byte written at its offset 0 *)
   | O_clone
+  | O_clone_eager of bool  (* continue in the eager child *)
   | O_zygote  (* seal the current space, continue in a lazy child of it *)
 
 let gen_oracle_scenario =
@@ -894,7 +934,9 @@ let gen_oracle_scenario =
               (fun off len p -> O_protect (off, len, p))
               (int_bound (arena - 1)) (1 -- 16) (int_bound 2) );
           (2, map2 (fun off len -> O_munmap (off, len)) (int_bound (arena - 1)) (1 -- 24));
+          (2, map2 (fun off v -> O_write (off, v)) (int_bound (arena - 1)) (1 -- 255));
           (2, return O_clone);
+          (2, map (fun cont -> O_clone_eager cont) bool);
           (1, return O_zygote);
         ]
     in
@@ -938,7 +980,9 @@ type oracle_space = {
   draws : int ref;
   mutable cur : Vmem.Addr_space.t;
   mutable child : Vmem.Addr_space.t option;
-  mutable sources : Vmem.Addr_space.t list;  (** sealed into a template *)
+  mutable sources : Vmem.Addr_space.t list;
+      (** earlier spaces kept to the end: sealed into a template, or the
+          parent of an eager child the scenario continued in *)
   mutable templates : Vmem.Addr_space.t list;
 }
 
@@ -990,12 +1034,19 @@ let prop_batched_oracle =
       let fast = make true in
       let slow = make false in
       let ptes a =
+        let fr = Vmem.Addr_space.frames a in
         Vmem.Addr_space.fold_resident a ~init:[] ~f:(fun acc ~vpn ~pte ->
-            (vpn, pte) :: acc)
+            (vpn, pte, Vmem.Frame.read_byte fr (Vmem.Pte.frame pte) ~off:0) :: acc)
       in
       let lazies a =
         Vmem.Addr_space.fold_lazy a ~init:[] ~f:(fun acc ~vpn ~pte ->
             (vpn, pte) :: acc)
+      in
+      let counts a =
+        ( Vmem.Addr_space.resident_pages a,
+          Vmem.Addr_space.pt_nodes a,
+          Vmem.Addr_space.lazy_pages a,
+          Vmem.Addr_space.committed_pages a )
       in
       let state sp =
         let a = sp.cur in
@@ -1012,11 +1063,15 @@ let prop_batched_oracle =
             Vmem.Addr_space.vma_count a,
             Vmem.Addr_space.lazy_pages a ),
           (ptes a, lazies a),
-          Option.map (fun c -> (ptes c, lazies c)) sp.child )
+          Option.map (fun c -> (counts c, ptes c, lazies c)) sp.child )
       in
       let event sp style f =
         let id = Vmem.Blame.new_event sp.blame ~style ~parent:0 in
         (id, Vmem.Blame.with_context sp.blame ~id Vmem.Blame.Sync f)
+      in
+      let drop_child sp =
+        Option.iter Vmem.Addr_space.destroy sp.child;
+        sp.child <- None
       in
       let apply sp op =
         let a = sp.cur in
@@ -1068,12 +1123,12 @@ let prop_batched_oracle =
           with
           | Ok () -> "munmap:ok"
           | Error `Invalid -> "munmap:invalid")
+        | O_write (off, v) -> (
+          match Vmem.Addr_space.write_byte a (base + (off * page)) v with
+          | Ok () -> "write:ok"
+          | Error e -> "write:" ^ show_fault e)
         | O_clone -> (
-          (match sp.child with
-          | Some c ->
-            Vmem.Addr_space.destroy c;
-            sp.child <- None
-          | None -> ());
+          drop_child sp;
           match event sp "fork" (fun () -> Vmem.Addr_space.clone_cow a) with
           | id, Ok c ->
             Vmem.Addr_space.set_blame_origin a id;
@@ -1082,6 +1137,19 @@ let prop_batched_oracle =
             "clone:ok"
           | _, Error `Commit_limit -> "clone:commit"
           | _, Error `Out_of_memory -> "clone:oom")
+        | O_clone_eager cont -> (
+          drop_child sp;
+          (* like the kernel's fork_eager: no COW sharing, no origin *)
+          match event sp "fork_eager" (fun () -> Vmem.Addr_space.clone_eager a) with
+          | _, Ok c when cont ->
+            sp.sources <- a :: sp.sources;
+            sp.cur <- c;
+            "eager:cont"
+          | _, Ok c ->
+            sp.child <- Some c;
+            "eager:ok"
+          | _, Error `Commit_limit -> "eager:commit"
+          | _, Error `Out_of_memory -> "eager:oom")
         | O_zygote -> (
           (* a lazy zygote child faults its pages from the template's
              backing table; later munmaps punch holes into it. Like the
@@ -1209,6 +1277,61 @@ let test_lazy_touch_observer_calls () =
   check_int "image pages fetched" pages (Vmem.Cost.count cost "pager:fetch-image");
   Vmem.Addr_space.destroy a
 
+(* The batched eager clone charges per clone, not per page: a 4096-page
+   space in three VMAs (one shared) reaches the meter observer twice —
+   fork:vma and fork:eager-copy — where the per-page walk made one call
+   per copied page. Failing the k-th frame charges the k-1 copies made,
+   in one call, and leaves frames and commit where they were. *)
+let test_eager_clone_observer_calls () =
+  let pages = 4096 in
+  let fr = Vmem.Frame.create ~frames:(2 * pages) () in
+  let cost = Vmem.Cost.create () in
+  let calls = ref [] in
+  Vmem.Cost.set_observer cost (Some (fun cat ~n _ -> calls := (cat, n) :: !calls));
+  let a = Vmem.Addr_space.create ~frames:fr ~cost ~tlb:(Vmem.Tlb.create cost) () in
+  let map ?shared n =
+    let x = ok (Vmem.Addr_space.mmap ?shared ~len:(n * page) ~perm:Vmem.Perm.rw ~kind:Vmem.Vma.Anon a) in
+    ignore (ok (Vmem.Addr_space.touch_range a ~addr:x ~len:(n * page)))
+  in
+  map 2048;
+  map ~shared:true 1024;
+  map 1024;
+  let private_pages = 3072 in
+  let clone () =
+    calls := [];
+    Vmem.Addr_space.clone_eager a
+  in
+  let child = ok (clone ()) in
+  Alcotest.(check (list (pair string int)))
+    "two observer calls"
+    [ ("fork:vma", 3); ("fork:eager-copy", private_pages) ]
+    (List.rev !calls);
+  Vmem.Addr_space.destroy child;
+  let used = Vmem.Frame.used fr and committed = Vmem.Frame.committed fr in
+  List.iter
+    (fun k ->
+      let draws = ref 0 in
+      Vmem.Frame.set_deny_alloc fr
+        (Some
+           (fun () ->
+             incr draws;
+             !draws = k));
+      let copies_before = Vmem.Cost.count cost "fork:eager-copy" in
+      (match clone () with
+      | Error `Out_of_memory -> ()
+      | Ok _ | Error `Commit_limit -> Alcotest.fail "frame k must fail the clone");
+      Vmem.Frame.set_deny_alloc fr None;
+      let expect = ("fork:vma", 3) :: (if k > 1 then [ ("fork:eager-copy", k - 1) ] else []) in
+      Alcotest.(check (list (pair string int)))
+        (Printf.sprintf "frame %d denied" k) expect (List.rev !calls);
+      check_int "k-1 copies charged" (k - 1)
+        (Vmem.Cost.count cost "fork:eager-copy" - copies_before);
+      check_int "draws" k !draws;
+      check_int "frames back" used (Vmem.Frame.used fr);
+      check_int "commit back" committed (Vmem.Frame.committed fr))
+    [ 1; 700; private_pages ];
+  Vmem.Addr_space.destroy a
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 let tc n f = Alcotest.test_case n `Quick f
 
@@ -1287,6 +1410,7 @@ let () =
           tc "readahead hits after last lazy page" test_readahead_hits_after_last_lazy;
           tc "lazy touch observer calls" test_lazy_touch_observer_calls;
           tc "pager validation" test_pager_validation;
+          tc "eager clone observer calls" test_eager_clone_observer_calls;
         ] );
       qsuite "addr-space-props"
         [ prop_as_fork_refcounts; prop_cow_model; prop_batched_oracle ];
